@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <span>
 #include <sstream>
 #include <string_view>
 #include <vector>
@@ -13,15 +14,16 @@
 #include "core/bitstream.hpp"
 #include "core/decode.hpp"
 #include "core/decode_selfsync.hpp"
-#include "core/decode_table.hpp"
 #include "core/encode_reduceshuffle.hpp"
 #include "core/encode_serial.hpp"
 #include "core/executor.hpp"
 #include "core/histogram.hpp"
 #include "core/merge_path.hpp"
 #include "core/par_codebook.hpp"
+#include "core/pipeline.hpp"
 #include "core/sort.hpp"
 #include "core/tree.hpp"
+#include "data/datasets.hpp"
 #include "data/quant.hpp"
 #include "data/synth_hist.hpp"
 #include "data/textgen.hpp"
@@ -188,38 +190,49 @@ void BM_EncodeReduceShuffle(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeReduceShuffle)->Arg(2)->Arg(3)->Arg(4);
 
-void BM_Decode(benchmark::State& state) {
-  const auto codes = data::generate_nyx_quant(1u << 21, 5);
-  const auto freq = histogram_serial<u16>(codes, 1024);
-  const Codebook cb = build_codebook_serial(freq);
-  const auto enc = encode_serial<u16>(codes, cb, 1024);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(decode_stream<u16>(enc, cb, 0));
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<i64>(codes.size() * 2));
-}
-BENCHMARK(BM_Decode);
+// --- Decoders. ----------------------------------------------------------------
 
-void BM_DecodeTableDriven(benchmark::State& state) {
-  const unsigned k = static_cast<unsigned>(state.range(0));
-  const auto codes = data::generate_nyx_quant(1u << 21, 5);
-  const auto freq = histogram_serial<u16>(codes, 1024);
-  const Codebook cb = build_codebook_serial(freq);
-  const auto enc = encode_serial<u16>(codes, cb, 1024);
-  const DecodeTable table(cb, k);
-  std::vector<u16> out(enc.n_symbols);
+/// The three bulk stand-ins the repository benchmark round-trips.
+constexpr const char* kBulkSets[] = {"ENWIK8", "NCI", "NYX-QUANT"};
+
+template <typename Sym>
+void decode_bulk(benchmark::State& state, std::span<const Sym> data,
+                 std::size_t nbins, int threads) {
+  PipelineConfig cfg;  // default encoder: chunks carry overflow groups
+  cfg.nbins = nbins;
+  const Compressed<Sym> blob = compress<Sym>(data, cfg);
   for (auto _ : state) {
-    for (std::size_t c = 0; c < enc.chunks(); ++c) {
-      BitReader br = enc.chunk_reader(c);
-      table.decode(br, enc.chunk_size(c), out.data() + c * enc.chunk_symbols);
-    }
-    benchmark::DoNotOptimize(out.data());
+    benchmark::DoNotOptimize(
+        decode_stream<Sym>(blob.stream, blob.codebook, threads));
   }
   state.SetBytesProcessed(state.iterations() *
-                          static_cast<i64>(codes.size() * 2));
+                          static_cast<i64>(data.size_bytes()));
+  state.counters["overflow_groups"] =
+      static_cast<double>(blob.stream.overflow.size());
 }
-BENCHMARK(BM_DecodeTableDriven)->Arg(8)->Arg(12);
+
+/// Host decode of one bulk stand-in (~2 MiB). Args: {dataset index,
+/// threads}; threads 0 is the library's default team size.
+void BM_Decode(benchmark::State& state) {
+  const auto ds = data::generate(kBulkSets[state.range(0)], 2 * MiB, 1);
+  const int threads = static_cast<int>(state.range(1));
+  state.SetLabel(ds.info.name);
+  if (ds.syms16.empty()) {
+    decode_bulk<u8>(state, std::span<const u8>(ds.bytes8), ds.info.nbins,
+                    threads);
+  } else {
+    decode_bulk<u16>(state, std::span<const u16>(ds.syms16), ds.info.nbins,
+                     threads);
+  }
+}
+BENCHMARK(BM_Decode)
+    ->Args({0, 1})
+    ->Args({1, 1})
+    ->Args({2, 1})
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({2, 0})
+    ->UseRealTime();
 
 void BM_DecodeSelfSync(benchmark::State& state) {
   const auto codes = data::generate_nyx_quant(1u << 21, 5);

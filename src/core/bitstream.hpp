@@ -162,6 +162,14 @@ class BitReader {
     pos_ += n;
   }
 
+  /// Cell `i` of the backing span (stream bits [32i, 32i + 32)), or 0 past
+  /// the span — the word-at-a-time refill for table-driven decoders. Bits
+  /// of the last cell beyond total_bits() are returned as stored, so a
+  /// caller must still bound what it consumes by remaining().
+  [[nodiscard]] word_t cell(std::size_t i) const {
+    return i < words_.size() ? words_[i] : 0;
+  }
+
   [[nodiscard]] u64 position() const { return pos_; }
   [[nodiscard]] u64 total_bits() const { return total_bits_; }
   [[nodiscard]] u64 remaining() const { return total_bits_ - pos_; }

@@ -15,19 +15,6 @@ namespace {
 constexpr u32 kMinSubseqBits = 64;
 constexpr u32 kMaxSubseqBits = 32768;
 
-/// Chunk → overflow-entry run boundaries (entries sorted by chunk, group).
-std::vector<std::size_t> overflow_runs(const EncodedStream& s) {
-  const std::size_t chunks = s.chunks();
-  std::vector<std::size_t> ovf_begin(chunks + 1, s.overflow.size());
-  std::size_t e = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    ovf_begin[c] = e;
-    while (e < s.overflow.size() && s.overflow[e].chunk == c) ++e;
-  }
-  ovf_begin[chunks] = e;
-  return ovf_begin;
-}
-
 /// Advance br past exactly one codeword. Unlike the self-sync tentative
 /// scan this is encode-side (or emit-side) ground truth: failure to match
 /// is corruption, not a desynchronized guess.
@@ -122,7 +109,8 @@ std::vector<Sym> decode_gaparray(const EncodedStream& s, const Codebook& cb,
     if (stats) *stats = {};
     return out;
   }
-  const std::vector<std::size_t> ovf_begin = overflow_runs(s);
+  const std::vector<std::size_t> runs = overflow_runs(s);
+  const DecodeLut lut(cb);
 
   u64 total_subseq = 0;
   u64 fallbacks = 0;
@@ -139,30 +127,8 @@ std::vector<Sym> decode_gaparray(const EncodedStream& s, const Codebook& cb,
         // --- Fallback: overflow-bearing chunks decode sequentially; the
         // side stream splices into the main one, so per-subsequence
         // metadata does not apply (entries are all-sentinel).
-        if (ovf_begin[c] != ovf_begin[c + 1]) {
-          const std::size_t group_syms = s.group_symbols(c);
-          BitReader br = s.chunk_reader(c);
-          BitReader obr(
-              std::span<const word_t>(s.overflow_payload.data(),
-                                      s.overflow_payload.size()),
-              static_cast<u64>(s.overflow_payload.size()) * kWordBits);
-          std::size_t e = ovf_begin[c];
-          std::size_t i = 0;
-          while (i < nc) {
-            const std::size_t group = i / group_syms;
-            if (e < ovf_begin[c + 1] && s.overflow[e].group == group) {
-              obr.seek(s.overflow[e].bit_offset);
-              decode_symbols(obr, cb, s.overflow[e].n_symbols, dst + i,
-                             cancel);
-              i += s.overflow[e].n_symbols;
-              ++e;
-            } else {
-              const std::size_t next =
-                  std::min<std::size_t>((group + 1) * group_syms, nc);
-              decode_symbols(br, cb, next - i, dst + i, cancel);
-              i = next;
-            }
-          }
+        if (runs[c] != runs[c + 1]) {
+          decode_chunk(s, lut, runs, c, dst, cancel);
           simt::atomic_add(fallbacks, u64{1});
           t.global_read(words_for_bits(s.chunk_bits[c]), sizeof(word_t),
                         simt::Pattern::kStrided);
@@ -220,7 +186,7 @@ std::vector<Sym> decode_gaparray(const EncodedStream& s, const Codebook& cb,
           if (cnt[i] == 0) continue;
           BitReader br = s.chunk_reader(c);
           br.seek(start[i]);
-          decode_symbols(br, cb, cnt[i], dst + offset[i], cancel);
+          decode_symbols(br, lut, cnt[i], dst + offset[i], cancel);
           if (br.position() != expect[i]) {
             throw std::runtime_error(
                 "gaparray: subsequence does not chain to its successor");

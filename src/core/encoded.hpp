@@ -128,11 +128,12 @@ struct EncodedStream {
     return static_cast<double>(broken) / static_cast<double>(n_symbols);
   }
 
-  /// Reduce-group size (symbols) in chunk `c`; 0 when no grouping is used.
+  /// Reduce-group size (symbols) in chunk `c`; 0 when no grouping is used
+  /// or the stored factor is too large to be one (a forged container).
   [[nodiscard]] std::size_t group_symbols(std::size_t c) const {
     const u32 r =
         c < chunk_reduce.size() ? chunk_reduce[c] : reduce_factor;
-    return r > 0 ? (std::size_t{1} << r) : 0;
+    return r > 0 && r < 64 ? (std::size_t{1} << r) : 0;
   }
 
   /// Number of symbols in chunk `c`.

@@ -16,7 +16,6 @@
 #include "core/decode_gaparray.hpp"  // annotate_gaps, decode_gaparray
 #include "core/decode_selfsync.hpp"
 #include "core/decode_simt.hpp"
-#include "core/decode_table.hpp"
 #include "core/encode_adaptive.hpp"
 #include "core/encode_reduceshuffle.hpp"
 #include "core/encode_serial.hpp"

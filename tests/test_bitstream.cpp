@@ -204,5 +204,41 @@ TEST(BitReaderBounds, PeekStaysSafeAtTail) {
   EXPECT_EQ(br.position(), 2u);
 }
 
+TEST(BitReaderBounds, CellReadsZeroPastSpan) {
+  const std::vector<word_t> words = {0xDEADBEEFu, 0x12345678u};
+  const BitReader br(words, 40);
+  EXPECT_EQ(br.cell(0), 0xDEADBEEFu);
+  // Bits past total_bits() inside the span come back as stored.
+  EXPECT_EQ(br.cell(1), 0x12345678u);
+  EXPECT_EQ(br.cell(2), 0u);
+  EXPECT_EQ(br.cell(~std::size_t{0}), 0u);
+}
+
+// --- peek(): the look-ahead window. ------------------------------------------
+
+TEST(BitReaderPeek, MatchesTake) {
+  Xoshiro256 rng(3);
+  BitWriter bw;
+  for (int i = 0; i < 100; ++i) bw.put(rng.next() & 0x7FFF, 15);
+  const u64 total = bw.bits();
+  const auto words = bw.finish();
+  BitReader br(words, total);
+  while (br.remaining() >= 9) {
+    const u64 peeked = br.peek(9);
+    EXPECT_EQ(br.take(9), peeked);
+  }
+}
+
+TEST(BitReaderPeek, ZeroPadsBeyondEnd) {
+  BitWriter bw;
+  bw.put(0b101, 3);
+  const auto words = bw.finish();
+  BitReader br(words, 3);
+  EXPECT_EQ(br.peek(8), 0b10100000u);
+  br.skip(2);
+  EXPECT_EQ(br.peek(4), 0b1000u);
+  EXPECT_EQ(br.remaining(), 1u);
+}
+
 }  // namespace
 }  // namespace parhuff

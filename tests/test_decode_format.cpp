@@ -33,6 +33,26 @@ TEST(Decode, TruncatedChunkThrows) {
   EXPECT_THROW((void)decode_stream<u8>(enc, cb, 1), std::runtime_error);
 }
 
+TEST(Decode, ForgedReduceFactorThrows) {
+  // Overflow groups splice back in at reduce-group boundaries. A stored
+  // factor with no groups (0), or one too large to shift, must be rejected
+  // instead of dividing by zero or shifting out of range.
+  const auto input = data::generate_nyx_quant(50000, 3);
+  PipelineConfig cfg;
+  cfg.nbins = 1024;
+  cfg.reduce_factor = 6;
+  const auto blob = compress<u16>(input, cfg);
+  ASSERT_GT(blob.stream.overflow.size(), 0u);
+  for (const u32 r : {0u, 40u, 64u, 0x7FFFFFFFu}) {
+    SCOPED_TRACE(r);
+    EncodedStream s = blob.stream;
+    s.chunk_reduce.clear();
+    s.reduce_factor = r;
+    EXPECT_THROW((void)decode_stream<u16>(s, blob.codebook, 1),
+                 std::runtime_error);
+  }
+}
+
 TEST(Format, RoundTripByteData) {
   const auto input = data::generate_text(200000, 8);
   PipelineConfig cfg;
