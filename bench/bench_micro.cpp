@@ -4,6 +4,7 @@
 // the encoders' host-side cost.
 
 #include <benchmark/benchmark.h>
+#include <omp.h>
 
 #include <span>
 #include <sstream>
@@ -15,6 +16,7 @@
 #include "core/decode.hpp"
 #include "core/decode_selfsync.hpp"
 #include "core/encode_reduceshuffle.hpp"
+#include "core/entropy.hpp"
 #include "core/encode_serial.hpp"
 #include "core/executor.hpp"
 #include "core/histogram.hpp"
@@ -47,19 +49,6 @@ void BM_BitWriterPut(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 4096);
 }
 BENCHMARK(BM_BitWriterPut)->Arg(1)->Arg(5)->Arg(16)->Arg(31);
-
-void BM_AppendBits(benchmark::State& state) {
-  const std::size_t bits = static_cast<std::size_t>(state.range(0));
-  std::vector<word_t> src(words_for_bits(bits), 0xA5A5A5A5u);
-  std::vector<word_t> dst(words_for_bits(2 * bits) + 2, 0);
-  for (auto _ : state) {
-    std::fill(dst.begin(), dst.end(), 0);
-    append_bits(dst.data(), 13, src.data(), bits);
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetBytesProcessed(state.iterations() * static_cast<i64>(bits / 8));
-}
-BENCHMARK(BM_AppendBits)->Arg(64)->Arg(1024)->Arg(32768);
 
 // --- Merge path: partition-count ablation. ----------------------------------
 
@@ -176,24 +165,68 @@ void BM_EncodeSerial(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeSerial);
 
-void BM_EncodeReduceShuffle(benchmark::State& state) {
-  const auto codes = data::generate_nyx_quant(1u << 21, 5);
-  const auto freq = histogram_serial<u16>(codes, 1024);
-  const Codebook cb = build_codebook_serial(freq);
-  const ReduceShuffleConfig cfg{10, static_cast<u32>(state.range(0))};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        encode_reduceshuffle_simt<u16>(codes, cb, cfg, nullptr, nullptr));
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<i64>(codes.size() * 2));
-}
-BENCHMARK(BM_EncodeReduceShuffle)->Arg(2)->Arg(3)->Arg(4);
-
-// --- Decoders. ----------------------------------------------------------------
-
 /// The three bulk stand-ins the repository benchmark round-trips.
 constexpr const char* kBulkSets[] = {"ENWIK8", "NCI", "NYX-QUANT"};
+
+/// Runs the calling thread's OpenMP regions on `threads` threads (0 keeps
+/// the library default) for the guard's lifetime.
+class TeamSize {
+ public:
+  explicit TeamSize(int threads) : saved_(omp_get_max_threads()) {
+    if (threads > 0) omp_set_num_threads(threads);
+  }
+  TeamSize(const TeamSize&) = delete;
+  TeamSize& operator=(const TeamSize&) = delete;
+  ~TeamSize() { omp_set_num_threads(saved_); }
+
+ private:
+  int saved_;
+};
+
+template <typename Sym>
+void encode_bulk(benchmark::State& state, std::span<const Sym> data,
+                 std::size_t nbins) {
+  // The default pipeline's encode: the Fig. 3 reduce factor, tallied.
+  const auto freq = histogram_serial<Sym>(data, nbins);
+  const Codebook cb = build_codebook_serial(freq);
+  const ReduceShuffleConfig cfg{
+      10, decide_reduce_factor(average_bitwidth(cb, freq), 10)};
+  std::size_t overflow_groups = 0;
+  for (auto _ : state) {
+    simt::MemTally tally;
+    const EncodedStream s =
+        encode_reduceshuffle_simt<Sym>(data, cb, cfg, &tally);
+    overflow_groups = s.overflow.size();
+    benchmark::DoNotOptimize(s.payload.data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<i64>(data.size_bytes()));
+  state.counters["reduce_factor"] = static_cast<double>(cfg.reduce_factor);
+  state.counters["overflow_groups"] = static_cast<double>(overflow_groups);
+}
+
+/// REDUCE/SHUFFLE encode of one bulk stand-in (~2 MiB). Args: {dataset
+/// index, threads}; threads 0 is the library's default team size.
+void BM_EncodeReduceShuffle(benchmark::State& state) {
+  const auto ds = data::generate(kBulkSets[state.range(0)], 2 * MiB, 1);
+  const TeamSize team(static_cast<int>(state.range(1)));
+  state.SetLabel(ds.info.name);
+  if (ds.syms16.empty()) {
+    encode_bulk<u8>(state, std::span<const u8>(ds.bytes8), ds.info.nbins);
+  } else {
+    encode_bulk<u16>(state, std::span<const u16>(ds.syms16), ds.info.nbins);
+  }
+}
+BENCHMARK(BM_EncodeReduceShuffle)
+    ->Args({0, 1})
+    ->Args({1, 1})
+    ->Args({2, 1})
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({2, 0})
+    ->UseRealTime();
+
+// --- Decoders. ----------------------------------------------------------------
 
 template <typename Sym>
 void decode_bulk(benchmark::State& state, std::span<const Sym> data,

@@ -11,6 +11,7 @@
 
 #include <cassert>
 #include <cstddef>
+#include <iterator>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -29,65 +30,96 @@ inline constexpr unsigned kWordBits = 32;
   return static_cast<std::size_t>((bits + kWordBits - 1) / kWordBits);
 }
 
-/// Append-only MSB-first bit writer.
-class BitWriter {
+/// MSB-first bit packer: a 64-bit accumulator that emits each 32-bit cell
+/// to `Out` (any output iterator over word_t — a raw workspace pointer or a
+/// back_inserter) as soon as it fills. Every encoder writes its streams
+/// through this one packer.
+template <typename Out>
+class BitPacker {
  public:
-  BitWriter() = default;
-  explicit BitWriter(std::vector<word_t>& sink) : out_(&sink) {}
+  explicit BitPacker(Out out) : out_(out) {}
 
-  /// Append the low `len` bits of `value` (MSB of those first). len <= 58.
+  /// Append the low `len` bits of `value` (MSB of those first). len <= 64,
+  /// so a merged 64-bit cell goes in with one call.
   void put(u64 value, unsigned len) {
-    assert(len <= kMaxCodeLen);
-    if (len == 0) return;
-    value &= (len >= 64 ? ~u64{0} : ((u64{1} << len) - 1));
-    unsigned remaining = len;
-    while (remaining > 0) {
-      const unsigned room = kWordBits - fill_;
-      const unsigned take = remaining < room ? remaining : room;
-      const u64 chunk = value >> (remaining - take);  // top `take` bits
-      cur_ |= static_cast<word_t>(chunk << (room - take));
-      fill_ += take;
-      remaining -= take;
-      if (fill_ == kWordBits) flush_word();
+    assert(len <= 64);
+    if (len > kWordBits) {
+      put_cell(value >> kWordBits, len - kWordBits);
+      len = kWordBits;
     }
-    bits_ += len;
+    put_cell(value, len);
   }
 
-  /// Total bits written so far.
+  /// Total bits put so far.
   [[nodiscard]] u64 bits() const { return bits_; }
+
+  /// Emit the trailing partial cell, zero-padded. Returns the iterator past
+  /// the last cell written; further puts start a fresh cell.
+  Out flush() {
+    if (fill_ > 0) {
+      *out_++ = static_cast<word_t>(acc_ << (kWordBits - fill_));
+      fill_ = 0;
+    }
+    return out_;
+  }
+
+ private:
+  /// len <= 32. The low fill_ < 32 bits of acc_ are pending; anything above
+  /// them is stale and shifts out, so the accumulator is never cleared.
+  void put_cell(u64 value, unsigned len) {
+    acc_ = (acc_ << len) | (value & ((u64{1} << len) - 1));
+    fill_ += len;
+    bits_ += len;
+    if (fill_ >= kWordBits) {
+      fill_ -= kWordBits;
+      *out_++ = static_cast<word_t>(acc_ >> fill_);
+    }
+  }
+
+  Out out_;
+  u64 acc_ = 0;
+  unsigned fill_ = 0;
+  u64 bits_ = 0;
+};
+
+/// Append-only MSB-first bit writer into a growing word vector.
+class BitWriter {
+ public:
+  BitWriter() : packer_(std::back_inserter(own_)) {}
+  explicit BitWriter(std::vector<word_t>& sink)
+      : out_(&sink), packer_(std::back_inserter(sink)) {}
+  // The packer points at own_, so a writer stays where it was built.
+  BitWriter(const BitWriter&) = delete;
+  BitWriter& operator=(const BitWriter&) = delete;
+
+  /// Append the low `len` bits of `value` (MSB of those first). len <= 64.
+  void put(u64 value, unsigned len) { packer_.put(value, len); }
+
+  /// Total bits written so far.
+  [[nodiscard]] u64 bits() const { return packer_.bits(); }
 
   /// Flush the trailing partial word (zero-padded) and return the buffer.
   /// The writer is left empty.
   std::vector<word_t> finish() {
-    if (fill_ > 0) flush_word();
+    packer_ = Packer(packer_.flush());
     std::vector<word_t> r;
     if (out_ == nullptr) {
       r = std::move(own_);
       own_.clear();
     }
     // (with an external sink the caller keeps the buffer; r stays empty)
-    bits_ = 0;
     return r;
   }
 
   /// Flush the trailing partial word into the external sink.
-  void finish_into_sink() {
-    if (fill_ > 0) flush_word();
-  }
+  void finish_into_sink() { packer_.flush(); }
 
  private:
-  void flush_word() {
-    sink().push_back(cur_);
-    cur_ = 0;
-    fill_ = 0;
-  }
-  std::vector<word_t>& sink() { return out_ ? *out_ : own_; }
+  using Packer = BitPacker<std::back_insert_iterator<std::vector<word_t>>>;
 
   std::vector<word_t>* out_ = nullptr;
   std::vector<word_t> own_;
-  word_t cur_ = 0;
-  unsigned fill_ = 0;
-  u64 bits_ = 0;
+  Packer packer_;
 };
 
 /// MSB-first bit reader over a word span.
@@ -187,35 +219,5 @@ class BitReader {
   u64 total_bits_;
   u64 pos_ = 0;
 };
-
-/// Append `src_bits` bits from `src` cells onto a destination cell buffer
-/// whose current length is `dst_bits`. This is the two-step batch move of
-/// Fig. 2: for each source cell, the first `32 - dst_bits%32` bits fill the
-/// residual of the last partial destination cell, and the remainder lands
-/// left-shifted in the next cell. `dst` must have capacity for
-/// words_for_bits(dst_bits + src_bits) cells, and cells at/after the write
-/// frontier must be zero.
-inline void append_bits(word_t* dst, u64 dst_bits, const word_t* src,
-                        u64 src_bits) {
-  if (src_bits == 0) return;
-  const unsigned off = static_cast<unsigned>(dst_bits % kWordBits);
-  std::size_t d = static_cast<std::size_t>(dst_bits / kWordBits);
-  const std::size_t src_words = words_for_bits(src_bits);
-  if (off == 0) {
-    for (std::size_t s = 0; s < src_words; ++s) dst[d + s] = src[s];
-    return;
-  }
-  const std::size_t end_word = words_for_bits(dst_bits + src_bits);
-  for (std::size_t s = 0; s < src_words; ++s) {
-    const word_t v = src[s];
-    dst[d + s] |= v >> off;
-    // The spill into the following cell is skipped when it would land wholly
-    // beyond the final bit count — src's zero padding guarantees it is zero.
-    if (d + s + 1 < end_word) {
-      dst[d + s + 1] = static_cast<word_t>(static_cast<u64>(v)
-                                           << (kWordBits - off));
-    }
-  }
-}
 
 }  // namespace parhuff

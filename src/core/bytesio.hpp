@@ -57,9 +57,12 @@ class ByteReader {
   template <typename T>
   std::vector<T> get_array(std::size_t n) {
     static_assert(std::is_trivially_copyable_v<T>);
-    need(n * sizeof(T));
+    // Divide rather than multiply: a forged count must not wrap n * size.
+    if (n > remaining() / sizeof(T)) truncated();
     std::vector<T> v(n);
-    std::memcpy(v.data(), bytes_.data() + pos_, n * sizeof(T));
+    // An empty field has no bytes to copy, and an empty vector's data()
+    // may be null, which memcpy does not accept even for zero bytes.
+    if (n > 0) std::memcpy(v.data(), bytes_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
     return v;
   }
@@ -78,10 +81,11 @@ class ByteReader {
 
  private:
   void need(std::size_t n) {
-    if (n > bytes_.size() - pos_) {
-      throw std::runtime_error("parhuff container: truncated input");
-    }
     // (pos_ <= size always; n > remaining covers overflow-safe check)
+    if (n > bytes_.size() - pos_) truncated();
+  }
+  [[noreturn]] static void truncated() {
+    throw std::runtime_error("parhuff container: truncated input");
   }
   std::span<const u8> bytes_;
   std::size_t pos_ = 0;

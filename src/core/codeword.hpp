@@ -35,27 +35,4 @@ struct MergeResult {
   return {Codeword{merged, static_cast<u8>(total)}, true};
 }
 
-/// A merged run of codewords held in a fixed-width cell, as used by the
-/// REDUCE-merge kernel. `width` is the cell width in bits (32 in the paper's
-/// configuration); a run whose length exceeds the width is *breaking*.
-template <unsigned Width>
-struct MergedCell {
-  static_assert(Width <= 64);
-  u64 bits = 0;
-  u16 len = 0;       ///< total bits; valid only when !breaking
-  bool breaking = false;
-
-  /// Append another cell's contents; marks breaking on overflow or if
-  /// either side is already breaking.
-  void append(const MergedCell& right) {
-    if (breaking || right.breaking ||
-        static_cast<unsigned>(len) + right.len > Width) {
-      breaking = true;
-      return;
-    }
-    bits = (right.len == 64) ? right.bits : (bits << right.len) | right.bits;
-    len = static_cast<u16>(len + right.len);
-  }
-};
-
 }  // namespace parhuff

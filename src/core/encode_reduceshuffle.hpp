@@ -13,8 +13,9 @@
 //  2. Breaking points: a group whose 2^r codewords exceed the 32-bit cell
 //     is "breaking". The kernel backtraces it (a second reduction without
 //     bit operations), re-encodes the group's source symbols into an
-//     overflow bitstream, and records it via dense→sparse conversion. The
-//     group contributes zero bits to the main stream.
+//     overflow bitstream, and records it in a sparse index (the paper's
+//     dense→sparse conversion). The group contributes zero bits to the
+//     main stream.
 //
 //  3. SHUFFLE-merge (Fig. 2): s = M − r iterations merge adjacent
 //     variable-length cell groups with the two-step batch move (residual
@@ -26,6 +27,9 @@
 //
 // The decoded output is identical to the baseline encoders'; when no group
 // breaks, the chunk payload is bit-identical too.
+//
+// The host runs steps 1-3 as one fused pass per chunk (encode_merge.hpp)
+// and charges the MemTally what the steps above cost on the GPU.
 
 #include <span>
 

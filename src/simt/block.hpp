@@ -27,6 +27,7 @@
 
 #include <cassert>
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -37,34 +38,69 @@
 
 namespace parhuff::simt {
 
+/// Volta/Turing expose up to 96 KiB of shared memory per block.
+inline constexpr std::size_t kSharedMemBytes = 96 * 1024;
+
 /// Per-block shared-memory arena. Allocations live until the block retires,
 /// mirroring the shared-memory lifecycle binding described in §III-A of the
 /// paper.
+///
+/// Like GPU shared memory the storage is uninitialised: a kernel writes
+/// every element before it reads it. It is taken lazily, on the first
+/// allocation, from a per-host-thread buffer that every later block on that
+/// thread reuses, so a block that allocates nothing costs nothing. A block
+/// whose thread's buffer is still held by an enclosing block (a launch
+/// nested inside a kernel) gets a private buffer instead.
 class SharedMem {
  public:
-  explicit SharedMem(std::size_t capacity_bytes)
-      : storage_(capacity_bytes), used_(0) {}
+  SharedMem() = default;
+  SharedMem(const SharedMem&) = delete;
+  SharedMem& operator=(const SharedMem&) = delete;
+  ~SharedMem() {
+    if (base_ != nullptr && own_ == nullptr) thread_arena().held = false;
+  }
 
   template <typename T>
   std::span<T> alloc(std::size_t n) {
+    if (base_ == nullptr) acquire();
     const std::size_t bytes = n * sizeof(T);
     const std::size_t aligned = (used_ + alignof(T) - 1) & ~(alignof(T) - 1);
-    assert(aligned + bytes <= storage_.size() &&
+    assert(aligned + bytes <= kSharedMemBytes &&
            "simulated shared memory exhausted (96 KiB/block)");
     used_ = aligned + bytes;
-    return {reinterpret_cast<T*>(storage_.data() + aligned), n};
+    return {reinterpret_cast<T*>(base_ + aligned), n};
   }
 
   [[nodiscard]] std::size_t used() const { return used_; }
-  [[nodiscard]] std::size_t capacity() const { return storage_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return kSharedMemBytes; }
 
  private:
-  std::vector<std::byte> storage_;
-  std::size_t used_;
-};
+  struct Arena {
+    std::unique_ptr<std::byte[]> storage;
+    bool held = false;
+  };
+  static Arena& thread_arena() {
+    thread_local Arena arena;
+    return arena;
+  }
+  void acquire() {
+    Arena& a = thread_arena();
+    if (a.held) {
+      own_ = std::make_unique_for_overwrite<std::byte[]>(kSharedMemBytes);
+      base_ = own_.get();
+      return;
+    }
+    if (!a.storage) {
+      a.storage = std::make_unique_for_overwrite<std::byte[]>(kSharedMemBytes);
+    }
+    a.held = true;
+    base_ = a.storage.get();
+  }
 
-/// Volta/Turing expose up to 96 KiB of shared memory per block.
-inline constexpr std::size_t kSharedMemBytes = 96 * 1024;
+  std::byte* base_ = nullptr;
+  std::unique_ptr<std::byte[]> own_;  // nested-launch fallback
+  std::size_t used_ = 0;
+};
 
 class BlockCtx {
  public:
@@ -72,7 +108,6 @@ class BlockCtx {
       : block_id_(block_id),
         block_dim_(block_dim),
         grid_dim_(grid_dim),
-        shmem_(kSharedMemBytes),
         tally_(tally) {}
 
   [[nodiscard]] int block_id() const { return block_id_; }

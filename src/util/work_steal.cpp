@@ -115,10 +115,17 @@ void WorkStealExecutor::worker_loop(std::size_t self) {
     // happened between the failed take() and this wait. The park itself is
     // a clock-routed timed wait per quantum (not an unbounded cv wait), so
     // an injected VirtualClock governs idle time in tests; a notify still
-    // wakes the worker immediately, the timeout is only a backstop.
+    // wakes the worker immediately, the timeout is only a backstop. The
+    // clock is read once per quantum, not once per wakeup: a VirtualClock
+    // wait wakes every few hundred microseconds of real time, and reading
+    // it there would advance an auto-advancing clock with idle wall time
+    // instead of with the polls a test counts on.
+    auto quantum_end = clock_->now() + std::chrono::milliseconds(50);
     while (!(stopping_ || queued_.load(std::memory_order_acquire) > 0)) {
-      clock_->wait_until(work_cv_, lock,
-                         clock_->now() + std::chrono::milliseconds(50));
+      if (clock_->wait_until(work_cv_, lock, quantum_end) ==
+          std::cv_status::timeout) {
+        quantum_end = clock_->now() + std::chrono::milliseconds(50);
+      }
     }
     if (stopping_ && queued_.load(std::memory_order_acquire) == 0) return;
   }

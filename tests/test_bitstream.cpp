@@ -1,6 +1,7 @@
 // Unit tests for the MSB-first bitstream primitives every encoder builds on.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <vector>
 
 #include "core/bitstream.hpp"
@@ -91,72 +92,84 @@ TEST(WordsForBits, Boundaries) {
   EXPECT_EQ(words_for_bits(64), 2u);
 }
 
-TEST(AppendBits, AlignedCopy) {
-  std::vector<word_t> dst(4, 0);
-  const std::vector<word_t> src = {0xDEADBEEF, 0xCAFE0000};
-  append_bits(dst.data(), 0, src.data(), 48);
-  EXPECT_EQ(dst[0], 0xDEADBEEFu);
-  EXPECT_EQ(dst[1], 0xCAFE0000u);
-}
+// --- The accumulator against a bit-at-a-time reference. ---------------------
 
-TEST(AppendBits, UnalignedResidualFill) {
-  // dst holds 4 bits (0b1111); append 8 bits 0xAB.
-  std::vector<word_t> dst(2, 0);
-  dst[0] = 0xF0000000u;
-  const std::vector<word_t> src = {0xAB000000u};
-  append_bits(dst.data(), 4, src.data(), 8);
-  EXPECT_EQ(dst[0], 0xFAB00000u);
-  EXPECT_EQ(dst[1], 0u);
-}
-
-TEST(AppendBits, SpillsIntoNextCell) {
-  // dst holds 28 bits of ones; append 8 bits 0xAB: 4 bits fill the
-  // residual, 4 spill.
-  std::vector<word_t> dst(2, 0);
-  dst[0] = 0xFFFFFFF0u;
-  const std::vector<word_t> src = {0xAB000000u};
-  append_bits(dst.data(), 28, src.data(), 8);
-  EXPECT_EQ(dst[0], 0xFFFFFFFAu);
-  EXPECT_EQ(dst[1], 0xB0000000u);
-}
-
-TEST(AppendBits, EquivalentToBitWriterConcatenation) {
-  Xoshiro256 rng(7);
-  for (int trial = 0; trial < 200; ++trial) {
-    // Build two random bit strings with the writer, concatenate with
-    // append_bits, compare against writing both into one stream.
-    const unsigned la = 1 + static_cast<unsigned>(rng.below(120));
-    const unsigned lb = 1 + static_cast<unsigned>(rng.below(120));
-    BitWriter wa, wb, wall;
-    u64 bits_a = 0, bits_b = 0;
-    for (unsigned done = 0; done < la;) {
-      const unsigned len = std::min(la - done, 1 + static_cast<unsigned>(
-                                                       rng.below(30)));
-      const u64 v = rng.next() & ((u64{1} << len) - 1);
-      wa.put(v, len);
-      wall.put(v, len);
-      done += len;
-      bits_a += len;
-    }
-    for (unsigned done = 0; done < lb;) {
-      const unsigned len = std::min(lb - done, 1 + static_cast<unsigned>(
-                                                       rng.below(30)));
-      const u64 v = rng.next() & ((u64{1} << len) - 1);
-      wb.put(v, len);
-      wall.put(v, len);
-      done += len;
-      bits_b += len;
-    }
-    auto a = wa.finish();
-    auto b = wb.finish();
-    auto expect = wall.finish();
-    std::vector<word_t> dst(words_for_bits(bits_a + bits_b) + 1, 0);
-    std::copy(a.begin(), a.end(), dst.begin());
-    append_bits(dst.data(), bits_a, b.data(), bits_b);
-    for (std::size_t w = 0; w < words_for_bits(bits_a + bits_b); ++w) {
-      ASSERT_EQ(dst[w], expect[w]) << "trial " << trial << " word " << w;
+/// The plainest MSB-first packing: one bit at a time, a fresh zero cell
+/// whenever the previous one is full.
+struct ReferenceWriter {
+  std::vector<word_t> words;
+  u64 bits = 0;
+  void put(u64 value, unsigned len) {
+    for (unsigned i = len; i-- > 0;) {
+      if (bits % kWordBits == 0) words.push_back(0);
+      const unsigned at = kWordBits - 1 - static_cast<unsigned>(bits % kWordBits);
+      words.back() |= static_cast<word_t>((value >> i) & 1) << at;
+      ++bits;
     }
   }
+};
+
+/// Puts `pieces` into the reference, a BitWriter and a raw-pointer
+/// BitPacker, and checks all three agree. Values keep their random high
+/// bits, so the writers' masking is exercised too.
+void expect_matches_reference(
+    const std::vector<std::pair<u64, unsigned>>& pieces) {
+  ReferenceWriter ref;
+  BitWriter bw;
+  std::vector<word_t> raw(words_for_bits(64 * pieces.size()) + 1, 0xDEADBEEFu);
+  BitPacker<word_t*> packer(raw.data());
+  for (const auto& [v, len] : pieces) {
+    ref.put(v, len);
+    bw.put(v, len);
+    packer.put(v, len);
+  }
+  ASSERT_EQ(bw.bits(), ref.bits);
+  ASSERT_EQ(packer.bits(), ref.bits);
+  EXPECT_EQ(bw.finish(), ref.words);
+  word_t* end = packer.flush();
+  EXPECT_EQ(std::vector<word_t>(raw.data(), end), ref.words);
+}
+
+TEST(BitWriterReference, SeededRandomStreams) {
+  const unsigned edge[] = {0, 1, 31, 32, 33, kMaxCodeLen, 64};
+  Xoshiro256 rng(0xb175);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<std::pair<u64, unsigned>> pieces(rng.below(200));
+    for (auto& [v, len] : pieces) {
+      v = rng.next();
+      len = rng.below(3) == 0 ? edge[rng.below(std::size(edge))]
+                              : static_cast<unsigned>(rng.below(kMaxCodeLen + 1));
+    }
+    SCOPED_TRACE(::testing::Message() << "trial " << trial);
+    expect_matches_reference(pieces);
+  }
+}
+
+TEST(BitWriterReference, RunsEndingOnAWordBoundary) {
+  // Totals that are whole cells: the final flush must add no padding cell.
+  for (const auto& lens : std::vector<std::vector<unsigned>>{
+           {32}, {31, 1}, {1, 31}, {33, 31}, {kMaxCodeLen, 6}, {64},
+           {0, 32, 0}, {16, 16, 32, 0}, {5, 7, 11, 13, 17, 11}}) {
+    std::vector<std::pair<u64, unsigned>> pieces;
+    u64 total = 0;
+    for (const unsigned len : lens) {
+      pieces.emplace_back(0x0123456789abcdefull * (len + 1), len);
+      total += len;
+    }
+    ASSERT_EQ(total % kWordBits, 0u);
+    expect_matches_reference(pieces);
+    BitWriter bw;
+    for (const auto& [v, len] : pieces) bw.put(v, len);
+    EXPECT_EQ(bw.finish().size(), total / kWordBits);
+  }
+}
+
+TEST(BitWriterReference, OneBitAtATimeFillsEveryPosition) {
+  std::vector<std::pair<u64, unsigned>> pieces;
+  for (unsigned i = 0; i < 3 * kWordBits + 5; ++i) {
+    pieces.emplace_back(i % 3 == 0 ? 1 : 0, 1);
+  }
+  expect_matches_reference(pieces);
 }
 
 // --- Hardened bounds (enforced in release builds, not assert-only). ----------

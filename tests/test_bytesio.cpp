@@ -54,6 +54,28 @@ TEST(ByteIo, OverflowSafeNeedCheck) {
                std::runtime_error);
 }
 
+TEST(ByteIo, WideCountCannotWrapTheByteLength) {
+  // 2^62 u64s is 2^65 bytes, which wraps to 0 in size_t arithmetic.
+  const std::vector<u8> bytes = {1, 2, 3};
+  ByteReader r(bytes);
+  EXPECT_THROW((void)r.get_array<u64>(std::size_t{1} << 62),
+               std::runtime_error);
+  EXPECT_EQ(r.position(), 0u);
+}
+
+TEST(ByteIo, EmptyArraysReadAnywhere) {
+  // An empty field reads as an empty vector, also from an empty buffer
+  // and at the very end of one, without moving the cursor.
+  ByteReader none{std::span<const u8>()};
+  EXPECT_TRUE(none.get_array<u32>(0).empty());
+  EXPECT_TRUE(none.done());
+  const std::vector<u8> bytes = {9};
+  ByteReader r(bytes);
+  EXPECT_EQ(r.get<u8>(), 9u);
+  EXPECT_TRUE(r.get_array<u64>(0).empty());
+  EXPECT_EQ(r.position(), 1u);
+}
+
 TEST(ByteIo, ViewsShareStorage) {
   ByteWriter w;
   w.put<u32>(0x01020304);

@@ -358,6 +358,8 @@ TEST(ServiceCancel, DeadlineExpiresMidEncodeAsDeadlineExceeded) {
   // ~7 clock queries happen between submit and the first encode chunk
   // (boundary checks + serial histogram + stage-entry checks), so an
   // expiry at query 20 lands deterministically inside the encode kernel.
+  // The idle worker's park reads the clock once per 50 virtual ms, not per
+  // real-time wakeup, so idle wall time cannot spend the budget early.
   opts.deadline = svc::Deadline::in(20e-3, vc);
   auto sub = svc.submit(std::span<const u8>(data), cfg, opts);
   EXPECT_THROW(sub.result.get(), svc::DeadlineExceeded);

@@ -1,15 +1,27 @@
 // Cross-encoder equivalence: serial, OpenMP, coarse-SIMT and prefix-sum
 // SIMT encoders must produce bit-identical chunked streams; all decode back
 // to the input.
+//
+// EncoderDifferential runs all six pipeline encoders over every
+// tests/proptest.hpp family: each must decode byte for byte, the baselines
+// must match the serial stream bit for bit, and so must the REDUCE/SHUFFLE
+// and adaptive streams whenever no group broke.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/decode.hpp"
 #include "core/encode_serial.hpp"
 #include "core/encode_simt.hpp"
+#include "core/pipeline.hpp"
 #include "core/tree.hpp"
+#include "data/quant.hpp"
 #include "data/synth_hist.hpp"
+#include "obs/report.hpp"
+#include "proptest.hpp"
 #include "util/rng.hpp"
 
 namespace parhuff {
@@ -110,6 +122,122 @@ TEST(EncodeOpenmp, ThreadCountInvariance) {
   const EncodedStream four = encode_openmp<u8>(input, cb, 512, 4);
   EXPECT_EQ(one.payload, two.payload);
   EXPECT_EQ(one.payload, four.payload);
+}
+
+// --- Differential over the proptest families. -------------------------------
+
+/// How often the "no group broke" comparison actually ran, so the family
+/// tests can show it is not vacuous.
+struct DiffCounts {
+  std::size_t unbroken = 0;  ///< grouped streams compared to serial
+  std::size_t broken = 0;    ///< grouped streams with overflow groups
+};
+
+/// One pipeline encoder setting; `r` pins the REDUCE factor (r = 1 rarely
+/// breaks, the default follows Fig. 3).
+struct Variant {
+  EncoderKind kind;
+  std::optional<u32> r;
+};
+
+constexpr Variant kVariants[] = {
+    {EncoderKind::kSerial, {}},         {EncoderKind::kOpenMP, {}},
+    {EncoderKind::kCoarseSimt, {}},     {EncoderKind::kPrefixSumSimt, {}},
+    {EncoderKind::kReduceShuffleSimt, {}}, {EncoderKind::kReduceShuffleSimt, 1},
+    {EncoderKind::kAdaptiveSimt, {}},
+};
+
+/// Names the first encoder that disagrees with the input or the serial
+/// stream, or std::nullopt when all agree.
+template <typename Sym>
+std::optional<std::string> encoder_mismatch(const std::vector<Sym>& input,
+                                            std::size_t nbins,
+                                            DiffCounts& counts) {
+  PipelineConfig cfg;
+  cfg.nbins = nbins;
+  cfg.encoder = EncoderKind::kSerial;
+  const auto serial = compress<Sym>(std::span<const Sym>(input), cfg);
+  for (const Variant& v : kVariants) {
+    cfg.encoder = v.kind;
+    cfg.reduce_factor = v.r;
+    const auto blob = compress<Sym>(std::span<const Sym>(input), cfg);
+    std::ostringstream who;
+    who << obs::kind_name(v.kind);
+    if (v.r) who << " r=" << *v.r;
+    const auto fail = [&](const char* what) {
+      return std::optional<std::string>(who.str() + ": " + what);
+    };
+    if (blob.codebook.cw != serial.codebook.cw) return fail("codebook");
+    if (decode_stream<Sym>(blob.stream, blob.codebook, 1) != input) {
+      return fail("decode differs");
+    }
+    const bool grouped = v.kind == EncoderKind::kReduceShuffleSimt ||
+                         v.kind == EncoderKind::kAdaptiveSimt;
+    if (grouped && !blob.stream.overflow.empty()) {
+      ++counts.broken;
+      continue;
+    }
+    counts.unbroken += grouped ? 1 : 0;
+    if (blob.stream.payload != serial.stream.payload ||
+        blob.stream.chunk_bits != serial.stream.chunk_bits) {
+      return fail("payload differs from serial");
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(EncoderDifferential, FieldFamilies) {
+  using proptest::FieldKind;
+  DiffCounts counts;
+  for (const FieldKind kind :
+       {FieldKind::kSmooth, FieldKind::kTurbulent, FieldKind::kConstant,
+        FieldKind::kDenormal, FieldKind::kSpiky}) {
+    const auto failure = proptest::find_field_failure(
+        kind, 4,
+        [&](const std::vector<float>& field, data::Dims dims,
+            const proptest::CaseId&) -> std::optional<std::string> {
+          const data::Quantized q = data::lorenzo_quantize(field, dims, 1e-3);
+          return encoder_mismatch(q.codes, q.nbins, counts);
+        });
+    EXPECT_FALSE(failure.has_value()) << *failure;
+  }
+  EXPECT_GT(counts.unbroken, 0u);
+}
+
+TEST(EncoderDifferential, ByteFamily) {
+  DiffCounts counts;
+  for (u64 idx = 0; idx < 12; ++idx) {
+    Xoshiro256 rng(proptest::case_seed(0xe4c0de5ull, idx));
+    const std::vector<u8> input = proptest::make_bytes(rng, 20000);
+    if (input.empty()) continue;
+    const auto failure = encoder_mismatch(input, 256, counts);
+    EXPECT_FALSE(failure.has_value()) << "case " << idx << ": " << *failure;
+  }
+  // Uniform-ish bytes (~8 bits) break at the default factor, never at r=1.
+  EXPECT_GT(counts.unbroken, 0u);
+  EXPECT_GT(counts.broken, 0u);
+}
+
+TEST(EncoderDifferential, DriftFamilies) {
+  using proptest::DriftKind;
+  DiffCounts counts;
+  for (const DriftKind kind :
+       {DriftKind::kGradual, DriftKind::kAbrupt, DriftKind::kPeriodic}) {
+    proptest::DriftSpec spec;
+    spec.kind = kind;
+    spec.batches = 8;
+    spec.log2_batch_symbols = 12;
+    const proptest::DriftSource src(
+        spec, proptest::case_seed(0xd1ff0000ull, static_cast<u64>(kind)));
+    for (const std::size_t t : {std::size_t{0}, spec.batches - 1}) {
+      const auto failure =
+          encoder_mismatch(src.batch<u16>(t), spec.nbins, counts);
+      EXPECT_FALSE(failure.has_value())
+          << proptest::drift_kind_name(kind) << " batch " << t << ": "
+          << *failure;
+    }
+  }
+  EXPECT_GT(counts.unbroken, 0u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // The REDUCE/SHUFFLE-merge encoder: round trips across the (M, r) sweep,
 // bit-identity with the serial encoder when nothing breaks, forced breaking
-// points, partial chunks, and the MergedCell unit behaviour.
+// points, partial chunks, and the MERGE operation's 64-bit boundary.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -15,32 +15,6 @@
 
 namespace parhuff {
 namespace {
-
-TEST(MergedCell, AppendConcatenatesMsbFirst) {
-  MergedCell<32> a{0b101, 3, false};
-  const MergedCell<32> b{0b01, 2, false};
-  a.append(b);
-  EXPECT_FALSE(a.breaking);
-  EXPECT_EQ(a.len, 5);
-  EXPECT_EQ(a.bits, 0b10101u);
-}
-
-TEST(MergedCell, OverflowMarksBreaking) {
-  MergedCell<32> a{0xFFFF, 20, false};
-  const MergedCell<32> b{0xFFFF, 20, false};
-  a.append(b);
-  EXPECT_TRUE(a.breaking);
-}
-
-TEST(MergedCell, BreakingPropagates) {
-  MergedCell<32> a{0, 1, true};
-  const MergedCell<32> b{1, 1, false};
-  a.append(b);
-  EXPECT_TRUE(a.breaking);
-  MergedCell<32> c{1, 1, false};
-  c.append(MergedCell<32>{0, 1, true});
-  EXPECT_TRUE(c.breaking);
-}
 
 TEST(MergeOp, SixtyFourBitBoundary) {
   const auto ok = merge(Codeword{1, 32}, Codeword{1, 32});

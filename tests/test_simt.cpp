@@ -3,6 +3,7 @@
 // the memory model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
@@ -182,12 +183,47 @@ TEST(Spec, DeviceFactories) {
 }
 
 TEST(SharedMem, AlignedAllocation) {
-  SharedMem sh(1024);
+  SharedMem sh;
   auto a = sh.alloc<u8>(3);
   auto b = sh.alloc<u64>(2);
   EXPECT_EQ(a.size(), 3u);
   EXPECT_EQ(b.size(), 2u);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.data()) % alignof(u64), 0u);
+}
+
+TEST(SharedMem, LaterBlocksOnAThreadReuseItsArena) {
+  const void* first = nullptr;
+  {
+    SharedMem sh;
+    first = sh.alloc<u32>(4).data();
+  }
+  SharedMem again;
+  EXPECT_EQ(again.alloc<u32>(4).data(), first);
+}
+
+TEST(SharedMem, ALiveBlockKeepsItsArena) {
+  SharedMem outer;
+  auto a = outer.alloc<u32>(16);
+  SharedMem inner;
+  auto b = inner.alloc<u32>(16);
+  EXPECT_NE(a.data(), b.data());
+  EXPECT_EQ(inner.capacity(), kSharedMemBytes);
+}
+
+TEST(SharedMem, NestedLaunchLeavesTheOuterBlockIntact) {
+  std::vector<int> intact(3, 0);
+  launch(3, 32, nullptr, [&](BlockCtx& outer) {
+    auto mine = outer.shared_array<int>(256);
+    std::fill(mine.begin(), mine.end(), outer.block_id());
+    launch(4, 32, nullptr, [&](BlockCtx& inner) {
+      auto theirs = inner.shared_array<int>(256);
+      std::fill(theirs.begin(), theirs.end(), -1);
+    });
+    intact[outer.block_id()] =
+        std::all_of(mine.begin(), mine.end(),
+                    [&](int v) { return v == outer.block_id(); });
+  });
+  EXPECT_EQ(intact, std::vector<int>(3, 1));
 }
 
 }  // namespace
