@@ -7,11 +7,15 @@
 // of chunk N+1 overlaps the server's encode of chunk N; the headline
 // number is slowdown_vs_inproc, which the acceptance bar pins at <= 1.2x
 // for the direct unix case — the chunked framing must not throttle the
-// encoder it feeds. A final record carries the stream counters so CI can
-// assert the opened == completed + aborted ledger over the whole run.
+// encoder it feeds. The ratio compares unlike things: run_inproc encodes
+// the chunks serially, while the RPC cases overlap the server's encode of
+// one chunk with the reader pulling the next off the wire, so a ratio
+// near or under 1.0 does not mean the wire costs nothing. A final record
+// carries the stream counters so CI can assert the opened == completed +
+// aborted ledger over the whole run.
 //
 // BENCH_stream.json records one object per case plus the workload shape,
-// in the bench schema bench/README.md documents.
+// as a parhuff-metrics-v1 document (docs/observability.md).
 
 #include <algorithm>
 #include <cstdlib>

@@ -1,17 +1,11 @@
 #include "router/router.hpp"
 
 #include <algorithm>
-#include <array>
-#include <condition_variable>
 #include <cstring>
-#include <deque>
-#include <functional>
 #include <unordered_map>
 #include <utility>
 
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "svc/deadline.hpp"
 #include "svc/fingerprint.hpp"
@@ -20,32 +14,14 @@
 
 namespace parhuff::router {
 
-using rpc::Frame;
+using rpc::error_frame;
+using rpc::FrameConn;
 using rpc::Header;
 using rpc::Kind;
+using rpc::ok_frame;
 using rpc::Op;
 using rpc::Status;
-
-namespace {
-
-[[nodiscard]] Frame error_frame(const Header& req, Status status,
-                                const std::string& message) {
-  Frame f;
-  f.h.kind = Kind::kResponse;
-  f.h.op = req.op;
-  f.h.sym_width = req.sym_width;
-  f.h.request_id = req.request_id;
-  f.h.status = status;
-  f.payload.assign(message.begin(), message.end());
-  return f;
-}
-
-[[nodiscard]] svc::Priority to_priority(u8 p) {
-  if (p >= static_cast<u8>(svc::Priority::kHigh)) return svc::Priority::kHigh;
-  return static_cast<svc::Priority>(p);
-}
-
-}  // namespace
+using rpc::to_priority;
 
 /// One backend shard: endpoint, its long-lived RpcClient (lazy connect,
 /// backoff+redial, generation-swept reconnect — the failover machinery
@@ -57,44 +33,16 @@ struct ShardRouter::Shard {
   std::atomic<u64> served{0};
 };
 
-/// Everything one client connection's reader and writer share — the same
-/// in-order response-slot design as RpcServer::ConnState, plus the
-/// client-id → (shard, backend-id) bindings a cancel frame needs to chase
-/// its target across the proxy hop.
-struct ShardRouter::ConnState {
-  std::shared_ptr<rpc::Connection> conn;
-
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<std::function<Frame()>> slots;  // FIFO response order
-  bool reader_done = false;
-
+/// The router's per-connection state on top of the endpoint's slot
+/// queue: the client-id → (shard, backend-id) bindings a cancel frame
+/// needs to chase its target across the proxy hop, and the pinned
+/// streams. Guarded by mu.
+struct ShardRouter::ConnState final : FrameConn {
   struct Binding {
     u32 shard = 0;
     u64 backend_id = 0;
   };
   std::unordered_map<u64, Binding> routes;  // client request id → binding
-
-  void enqueue(std::function<Frame()> slot) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      slots.push_back(std::move(slot));
-    }
-    cv.notify_all();
-  }
-
-  void enqueue_ready(Frame f) {
-    auto boxed = std::make_shared<Frame>(std::move(f));
-    enqueue([boxed]() { return std::move(*boxed); });
-  }
-
-  void reader_finished() {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      reader_done = true;
-    }
-    cv.notify_all();
-  }
 
   void bind(u64 client_id, u32 shard, u64 backend_id) {
     std::lock_guard<std::mutex> lock(mu);
@@ -145,23 +93,16 @@ struct ShardRouter::ConnState {
   }
 };
 
-ShardRouter::ShardRouter(std::unique_ptr<rpc::Listener> listener,
-                         std::vector<ShardEndpoint> shards, RouterConfig cfg)
-    : cfg_(cfg),
-      clock_(cfg.clock ? cfg.clock : &util::Clock::real()),
-      listener_(std::move(listener)) {
-  if (!listener_) {
-    throw std::invalid_argument("ShardRouter: listener must not be null");
-  }
-  if (shards.empty()) {
+std::vector<std::unique_ptr<ShardRouter::Shard>> ShardRouter::make_shards(
+    std::vector<ShardEndpoint> endpoints, const RouterConfig& cfg,
+    const util::Clock* clock) {
+  if (endpoints.empty()) {
     throw std::invalid_argument("ShardRouter: at least one shard required");
   }
-  if (cfg_.max_connections == 0) {
-    throw std::invalid_argument("ShardRouter: max_connections must be > 0");
-  }
-  rpc::ClientConfig cc = cfg_.client;
-  cc.clock = clock_;
-  for (auto& ep : shards) {
+  rpc::ClientConfig cc = cfg.client;
+  cc.clock = clock;
+  std::vector<std::unique_ptr<Shard>> shards;
+  for (auto& ep : endpoints) {
     auto sh = std::make_unique<Shard>();
     sh->ep = std::move(ep);
     if (!sh->ep.connect) {
@@ -169,54 +110,44 @@ ShardRouter::ShardRouter(std::unique_ptr<rpc::Listener> listener,
                                   "' has no connector");
     }
     sh->client = std::make_unique<rpc::RpcClient>(sh->ep.connect, cc);
-    shards_.push_back(std::move(sh));
+    shards.push_back(std::move(sh));
   }
+  return shards;
+}
 
-  const int io = cfg_.io_threads > 0
-                     ? cfg_.io_threads
-                     : static_cast<int>(1 + 2 * cfg_.max_connections);
-  io_ = std::make_unique<WorkStealExecutor>(io, clock_);
-  io_->submit([this] { accept_loop(); });
+ShardRouter::ShardRouter(std::unique_ptr<rpc::Listener> listener,
+                         std::vector<ShardEndpoint> shards, RouterConfig cfg)
+    : cfg_(cfg),
+      clock_(cfg.clock ? cfg.clock : &util::Clock::real()),
+      shards_(make_shards(std::move(shards), cfg_, clock_)),
+      endpoint_(std::move(listener), *this,
+                rpc::EndpointConfig{.max_connections = cfg.max_connections,
+                                    .max_payload_bytes = cfg.max_payload_bytes,
+                                    .io_threads = cfg.io_threads,
+                                    .clock = clock_,
+                                    .counter_prefix = "router",
+                                    .fault_prefix = "router"}) {
   if (cfg_.start_prober) {
     prober_ = std::thread([this] { prober_loop(); });
   }
 }
 
-ShardRouter::~ShardRouter() {
-  stop();
-  io_.reset();  // joins accept/reader/writer tasks
-  // Backend clients (and their pending-future sweeps) tear down after the
-  // io tasks that wait on them (member order).
-}
+// stop() joins the prober; the endpoint, declared last, then joins its io
+// tasks before the backend clients they wait on tear down.
+ShardRouter::~ShardRouter() { stop(); }
 
 void ShardRouter::stop() {
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    stopping_ = true;
-  }
-  listener_->close();
+  endpoint_.stop();
   {
     std::lock_guard<std::mutex> lock(prober_mu_);
     prober_stop_ = true;
   }
   prober_cv_.notify_all();
   if (prober_.joinable()) prober_.join();
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto& w : conns_) {
-      if (std::shared_ptr<ConnState> cs = w.lock()) cs->conn->shutdown();
-    }
-  }
-  io_->wait_idle();
 }
 
 std::size_t ShardRouter::connection_count() const {
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  std::size_t live = 0;
-  for (const auto& w : conns_) {
-    if (!w.expired()) ++live;
-  }
-  return live;
+  return endpoint_.connection_count();
 }
 
 bool ShardRouter::shard_healthy(std::size_t i) const {
@@ -315,107 +246,17 @@ rpc::RpcCall ShardRouter::forward(u32 idx, const Header& h,
                                opts);
 }
 
-void ShardRouter::accept_loop() {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  for (;;) {
-    std::unique_ptr<rpc::Connection> c;
-    try {
-      c = listener_->accept();
-    } catch (...) {
-      break;  // listener failed: router keeps serving live connections
-    }
-    if (!c) break;  // closed
-
-    std::shared_ptr<ConnState> cs;
-    bool reject = false;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      std::erase_if(conns_, [](const std::weak_ptr<ConnState>& w) {
-        return w.expired();
-      });
-      if (stopping_ || conns_.size() >= cfg_.max_connections) reject = true;
-      if (!reject) {
-        cs = std::make_shared<ConnState>();
-        cs->conn = std::shared_ptr<rpc::Connection>(std::move(c));
-        conns_.push_back(cs);
-      }
-    }
-    if (reject) {
-      if (c) c->shutdown();
-      reg.counter_add("router.connections_rejected");
-      continue;
-    }
-    reg.counter_add("router.connections_accepted");
-
-    bool writer_up = false;
-    try {
-      io_->submit([this, cs] { writer_loop(cs); });
-      writer_up = true;
-      io_->submit([this, cs] { reader_loop(cs); });
-    } catch (...) {
-      cs->conn->shutdown();
-      if (writer_up) cs->reader_finished();
-      reg.counter_add("router.connections_rejected");
-    }
-  }
+std::shared_ptr<FrameConn> ShardRouter::open_conn() {
+  return std::make_shared<ConnState>();
 }
 
-void ShardRouter::reader_loop(std::shared_ptr<ConnState> cs) {
+bool ShardRouter::on_frame(FrameConn& conn, const Header& h,
+                           std::vector<u8> payload) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  for (;;) {
-    std::array<u8, rpc::kHeaderBytes> hb;
-    try {
-      if (!cs->conn->read_exact(hb.data(), rpc::kHeaderBytes)) break;
-    } catch (...) {
-      break;
-    }
-
-    Header h;
-    try {
-      h = rpc::decode_header(std::span<const u8, rpc::kHeaderBytes>(hb),
-                             cfg_.max_payload_bytes);
-    } catch (const rpc::ProtocolError& e) {
-      reg.counter_add("router.protocol_errors");
-      if (!e.can_respond()) break;
-      u32 raw_len = 0;
-      std::memcpy(&raw_len, hb.data() + 20, sizeof(raw_len));
-      const bool resync = raw_len <= cfg_.max_payload_bytes;
-      if (resync && raw_len > 0) {
-        std::vector<u8> skip(raw_len);
-        try {
-          if (!cs->conn->read_exact(skip.data(), skip.size())) break;
-        } catch (...) {
-          break;
-        }
-      }
-      reg.counter_add("router.protocol_error_responses");
-      cs->enqueue_ready(
-          error_frame(Header{.op = Op::kCompress,
-                             .request_id = e.request_id()},
-                      e.status(), e.what()));
-      if (!resync) break;
-      continue;
-    }
-
-    std::vector<u8> payload(h.payload_len);
-    try {
-      if (!cs->conn->read_exact(payload.data(), payload.size())) break;
-    } catch (...) {
-      break;
-    }
-
-    reg.counter_add("router.requests_received");
-    if (!handle_frame(cs, h, std::move(payload))) break;
-  }
-  cs->reader_finished();
-}
-
-bool ShardRouter::handle_frame(const std::shared_ptr<ConnState>& cs,
-                               const Header& h, std::vector<u8> payload) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  ConnState& cs = static_cast<ConnState&>(conn);
   if (h.kind != Kind::kRequest) {
-    cs->enqueue_ready(error_frame(
-        h, Status::kBadRequest, "response frame sent to a router"));
+    cs.enqueue_ready(error_frame(h, Status::kBadRequest,
+                                 "response frame sent to a router"));
     return true;
   }
   switch (h.op) {
@@ -437,8 +278,8 @@ bool ShardRouter::handle_frame(const std::shared_ptr<ConnState>& cs,
       return true;
     case Op::kCancel: {
       if (payload.size() != sizeof(u64)) {
-        cs->enqueue_ready(error_frame(
-            h, Status::kBadRequest, "cancel payload must be a u64 id"));
+        cs.enqueue_ready(error_frame(h, Status::kBadRequest,
+                                     "cancel payload must be a u64 id"));
         return true;
       }
       u64 target = 0;
@@ -450,57 +291,38 @@ bool ShardRouter::handle_frame(const std::shared_ptr<ConnState>& cs,
       ConnState::Binding b;
       bool bound = false;
       {
-        std::lock_guard<std::mutex> lock(cs->mu);
-        if (auto it = cs->routes.find(target); it != cs->routes.end()) {
+        std::lock_guard<std::mutex> lock(cs.mu);
+        if (auto it = cs.routes.find(target); it != cs.routes.end()) {
           b = it->second;
           bound = true;
         }
       }
-      Frame ack;
-      ack.h.kind = Kind::kResponse;
-      ack.h.op = Op::kCancel;
-      ack.h.request_id = h.request_id;
-      ack.h.status = Status::kOk;
       if (!bound) {
         // Already resolved, shed, or never existed — idempotent
         // best-effort either way, same as RpcServer.
-        cs->enqueue_ready(std::move(ack));
+        cs.enqueue_ready(ok_frame(h));
         return true;
       }
       auto fut = std::make_shared<std::future<void>>(
           shards_[b.shard]->client->cancel(b.backend_id));
-      auto boxed = std::make_shared<Frame>(std::move(ack));
-      cs->enqueue([fut, boxed]() {
+      cs.enqueue([fut, hdr = h]() {
         try {
           fut->get();  // ack after the shard acked (ordering contract)
         } catch (...) {
           // The shard died around the cancel; the target's own future
           // resolves through failover or TransportError regardless.
         }
-        return std::move(*boxed);
+        return ok_frame(hdr);
       });
       return true;
     }
-    case Op::kStats: {
-      cs->enqueue([id = h.request_id]() {
-        Frame f;
-        f.h.kind = Kind::kResponse;
-        f.h.op = Op::kStats;
-        f.h.request_id = id;
-        f.h.status = Status::kOk;
-        obs::Json j = obs::Json::object();
-        j.set("schema", obs::kMetricsSchema);
-        j.set("name", "router-stats");
-        j.set("metrics", obs::MetricsRegistry::global().to_json());
-        const std::string text = j.dump();
-        f.payload.assign(text.begin(), text.end());
-        return f;
-      });
+    case Op::kStats:
+      cs.enqueue(
+          [id = h.request_id] { return rpc::stats_frame(id, "router-stats"); });
       return true;
-    }
     case Op::kHealth: {
       rpc::HealthInfo info;
-      info.connections = connection_count();
+      info.connections = endpoint_.connection_count();
       info.max_connections = cfg_.max_connections;
       u64 up = 0;
       for (const auto& sh : shards_) {
@@ -511,25 +333,47 @@ bool ShardRouter::handle_frame(const std::shared_ptr<ConnState>& cs,
       // fleet that cannot take traffic".
       info.queue_depth = static_cast<u64>(shards_.size()) - up;
       info.queue_capacity = shards_.size();
-      {
-        std::lock_guard<std::mutex> lock(conns_mu_);
-        info.accepting = !stopping_;
-      }
-      Frame f;
-      f.h.kind = Kind::kResponse;
-      f.h.op = Op::kHealth;
-      f.h.request_id = h.request_id;
-      f.h.status = Status::kOk;
-      f.payload = rpc::encode_health_info(info);
-      cs->enqueue_ready(std::move(f));
+      info.accepting = endpoint_.accepting();
+      cs.enqueue_ready(ok_frame(h, rpc::encode_health_info(info)));
       return true;
     }
   }
   return true;  // unreachable: decode_header validated the op
 }
 
-void ShardRouter::handle_proxy(const std::shared_ptr<ConnState>& cs,
-                               const Header& h, std::vector<u8> payload) {
+void ShardRouter::on_drained(FrameConn& conn) {
+  // Streams still bound when the client connection dies never reach their
+  // End: abort them here (all slots drained, so nothing can race the
+  // sweep) and force the shard's half closed too — cancel() interrupts an
+  // in-flight encode (the cancel frame is sent synchronously; the
+  // deferred ack future may be dropped), and a poisoned End (a byte total
+  // no real stream can reach) makes the shard erase its state with a
+  // typed abort instead of leaking toward its per-connection stream cap.
+  ConnState& cs = static_cast<ConnState&>(conn);
+  std::vector<ConnState::StreamRoute> orphaned;
+  {
+    std::lock_guard<std::mutex> lock(cs.mu);
+    for (const auto& [sid, route] : cs.stream_routes) {
+      orphaned.push_back(route);
+    }
+    cs.stream_routes.clear();
+  }
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  for (const ConnState::StreamRoute& route : orphaned) {
+    reg.counter_add("router.streams_aborted");
+    rpc::RpcClient& backend = *shards_[route.shard]->client;
+    try {
+      (void)backend.cancel(route.backend_begin_id);
+      (void)backend.stream_end(route.end_op, route.backend_sid,
+                               ~0ull, 0);
+    } catch (...) {
+      // Backend gone too — its connection teardown reaps the stream.
+    }
+  }
+}
+
+void ShardRouter::handle_proxy(ConnState& cs, const Header& h,
+                               std::vector<u8> payload) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
   obs::TraceRecorder& rec = obs::TraceRecorder::global();
   util::FaultInjector& faults = util::FaultInjector::global();
@@ -549,7 +393,7 @@ void ShardRouter::handle_proxy(const std::shared_ptr<ConnState>& cs,
     reg.stage_add("router.route", (route_us - start_us) / 1e6);
   } catch (...) {
     reg.counter_add("router.shed");
-    cs->enqueue_ready(
+    cs.enqueue_ready(
         error_frame(h, Status::kInternal, "router: route lookup failed"));
     return;
   }
@@ -566,7 +410,7 @@ void ShardRouter::handle_proxy(const std::shared_ptr<ConnState>& cs,
   for (; attempt < order.size(); ++attempt) {
     try {
       *call = forward(order[attempt], h, *body);
-      cs->bind(h.request_id, order[attempt], call->id);
+      cs.bind(h.request_id, order[attempt], call->id);
       in_flight = true;
       break;
     } catch (...) {
@@ -575,41 +419,33 @@ void ShardRouter::handle_proxy(const std::shared_ptr<ConnState>& cs,
   }
   if (!in_flight) {
     reg.counter_add("router.shed");
-    cs->enqueue_ready(error_frame(h, Status::kQueueFull,
+    cs.enqueue_ready(error_frame(h, Status::kQueueFull,
                                   "router: no shard accepted the request"));
     return;
   }
 
-  ConnState* raw = cs.get();  // the writer keeps *cs alive past this slot
-  cs->enqueue([this, raw, body, call, hdr = h, order,
+  ConnState* raw = &cs;  // the writer keeps *raw alive past this slot
+  cs.enqueue([this, raw, body, call, hdr = h, order,
                first = attempt, start_us]() {
     obs::MetricsRegistry& mreg = obs::MetricsRegistry::global();
-    Frame f;
-    f.h.kind = Kind::kResponse;
-    f.h.op = hdr.op;
-    f.h.sym_width = hdr.sym_width;
-    f.h.request_id = hdr.request_id;
-
+    rpc::Frame f;
     std::size_t attempts_done = 0;  // terminal answers obtained
     std::size_t idx = first;        // current candidate index
     bool terminal = false;
     for (;;) {
       const u32 shard = order[idx];
       try {
-        f.payload = call->result.get();
-        f.h.status = Status::kOk;
+        f = ok_frame(hdr, call->result.get());
         shards_[shard]->health.note_success();
         terminal = true;
       } catch (const svc::DeadlineExceeded& e) {
         // The shard answered: alive, just out of budget. Terminal — a
         // second shard cannot beat a deadline the first already missed.
-        f.h.status = Status::kDeadlineExceeded;
-        f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
+        f = error_frame(hdr, Status::kDeadlineExceeded, e.what());
         shards_[shard]->health.note_success();
         terminal = true;
       } catch (const svc::CancelledError& e) {
-        f.h.status = Status::kCancelled;
-        f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
+        f = error_frame(hdr, Status::kCancelled, e.what());
         shards_[shard]->health.note_success();
         terminal = true;
       } catch (const rpc::RpcError& e) {
@@ -618,16 +454,14 @@ void ShardRouter::handle_proxy(const std::shared_ptr<ConnState>& cs,
           // The shard is alive but shedding/draining: route around it.
           shards_[shard]->health.note_queue_full();
         } else {
-          f.h.status = e.status();
-          f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
+          f = error_frame(hdr, e.status(), e.what());
           shards_[shard]->health.note_success();
           terminal = true;
         }
       } catch (const rpc::TransportError&) {
         shards_[shard]->health.note_failure(cfg_.health);
       } catch (const std::exception& e) {
-        f.h.status = Status::kInternal;
-        f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
+        f = error_frame(hdr, Status::kInternal, e.what());
         terminal = true;
       }
       ++attempts_done;
@@ -654,9 +488,8 @@ void ShardRouter::handle_proxy(const std::shared_ptr<ConnState>& cs,
         }
       }
       if (!reforwarded) {
-        f.h.status = Status::kQueueFull;
-        const std::string msg = "router: all shards unavailable";
-        f.payload.assign(msg.begin(), msg.end());
+        f = error_frame(hdr, Status::kQueueFull,
+                        "router: all shards unavailable");
         break;
       }
       idx = next;
@@ -680,8 +513,7 @@ void ShardRouter::handle_proxy(const std::shared_ptr<ConnState>& cs,
   });
 }
 
-void ShardRouter::handle_stream_begin(const std::shared_ptr<ConnState>& cs,
-                                      const Header& h) {
+void ShardRouter::handle_stream_begin(ConnState& cs, const Header& h) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
   util::FaultInjector& faults = util::FaultInjector::global();
 
@@ -696,7 +528,7 @@ void ShardRouter::handle_stream_begin(const std::shared_ptr<ConnState>& cs,
     std::memcpy(key_bytes, &nonce, sizeof(nonce));
     order = candidates(fnv1a(std::span<const u8>(key_bytes, 8)));
   } catch (...) {
-    cs->enqueue_ready(
+    cs.enqueue_ready(
         error_frame(h, Status::kInternal, "router: route lookup failed"));
     return;
   }
@@ -725,27 +557,21 @@ void ShardRouter::handle_stream_begin(const std::shared_ptr<ConnState>& cs,
       u64 backend_sid = 0;
       std::memcpy(&backend_sid, sid_bytes.data(), 8);  // LE, like bytesio
       sh.health.note_success();
-      const u64 client_sid = cs->bind_stream(
+      const u64 client_sid = cs.bind_stream(
           ConnState::StreamRoute{idx, backend_sid, begin.id, end_op});
       reg.counter_add("router.streams_opened");
-      Frame f;
-      f.h.kind = Kind::kResponse;
-      f.h.op = h.op;
-      f.h.sym_width = h.sym_width;
-      f.h.request_id = h.request_id;
-      f.h.status = Status::kOk;
-      f.payload.resize(8);
-      std::memcpy(f.payload.data(), &client_sid, 8);
-      cs->enqueue_ready(std::move(f));
+      std::vector<u8> sid(8);
+      std::memcpy(sid.data(), &client_sid, 8);
+      cs.enqueue_ready(ok_frame(h, std::move(sid)));
       return;
     } catch (const svc::DeadlineExceeded& e) {
       // The shard answered: alive, just out of budget. Terminal.
       sh.health.note_success();
-      cs->enqueue_ready(error_frame(h, Status::kDeadlineExceeded, e.what()));
+      cs.enqueue_ready(error_frame(h, Status::kDeadlineExceeded, e.what()));
       return;
     } catch (const svc::CancelledError& e) {
       sh.health.note_success();
-      cs->enqueue_ready(error_frame(h, Status::kCancelled, e.what()));
+      cs.enqueue_ready(error_frame(h, Status::kCancelled, e.what()));
       return;
     } catch (const rpc::RpcError& e) {
       if (e.status() == Status::kQueueFull ||
@@ -756,23 +582,22 @@ void ShardRouter::handle_stream_begin(const std::shared_ptr<ConnState>& cs,
       // Any other typed answer (bad width, stream cap...) is terminal —
       // the next shard would reject the same Begin the same way.
       sh.health.note_success();
-      cs->enqueue_ready(error_frame(h, e.status(), e.what()));
+      cs.enqueue_ready(error_frame(h, e.status(), e.what()));
       return;
     } catch (...) {
       sh.health.note_failure(cfg_.health);
     }
   }
-  cs->enqueue_ready(error_frame(h, Status::kQueueFull,
+  cs.enqueue_ready(error_frame(h, Status::kQueueFull,
                                 "router: no shard accepted the stream"));
 }
 
-void ShardRouter::handle_stream_frame(const std::shared_ptr<ConnState>& cs,
-                                      const Header& h,
+void ShardRouter::handle_stream_frame(ConnState& cs, const Header& h,
                                       std::vector<u8> payload) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
   ConnState::StreamRoute route;
-  if (!cs->find_stream(h.stream_id, &route)) {
-    cs->enqueue_ready(error_frame(
+  if (!cs.find_stream(h.stream_id, &route)) {
+    cs.enqueue_ready(error_frame(
         h, Status::kBadRequest,
         "router: unknown stream id (never opened or already terminal)"));
     return;
@@ -789,56 +614,44 @@ void ShardRouter::handle_stream_frame(const std::shared_ptr<ConnState>& cs,
                                    std::span<const u8>(payload));
   } catch (...) {
     sh.health.note_failure(cfg_.health);
-    if (cs->unbind_stream(h.stream_id)) {
+    if (cs.unbind_stream(h.stream_id)) {
       reg.counter_add("router.streams_aborted");
     }
-    cs->enqueue_ready(error_frame(
+    cs.enqueue_ready(error_frame(
         h, Status::kInternal,
         "router: stream forward failed (mid-stream failover is terminal: "
         "chunks the shard already consumed cannot be replayed)"));
     return;
   }
 
-  ConnState* raw = cs.get();  // the writer keeps *cs alive past this slot
+  ConnState* raw = &cs;  // the writer keeps *raw alive past this slot
   auto fut = std::make_shared<std::future<std::vector<u8>>>(
       std::move(call.result));
   const bool is_end =
       h.op == Op::kCompressStreamEnd || h.op == Op::kDecompressStreamEnd;
-  cs->enqueue([this, raw, fut, hdr = h, shard = route.shard, is_end]() {
+  cs.enqueue([this, raw, fut, hdr = h, shard = route.shard, is_end]() {
     obs::MetricsRegistry& mreg = obs::MetricsRegistry::global();
-    Frame f;
-    f.h.kind = Kind::kResponse;
-    f.h.op = hdr.op;
-    f.h.sym_width = hdr.sym_width;
-    f.h.request_id = hdr.request_id;
-    f.h.stream_id = hdr.stream_id;
+    rpc::Frame f;
     bool ok = false;
     try {
-      f.payload = fut->get();
-      f.h.status = Status::kOk;
+      f = ok_frame(hdr, fut->get());
       shards_[shard]->health.note_success();
       ok = true;
     } catch (const svc::DeadlineExceeded& e) {
-      f.h.status = Status::kDeadlineExceeded;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
+      f = error_frame(hdr, Status::kDeadlineExceeded, e.what());
       shards_[shard]->health.note_success();
     } catch (const svc::CancelledError& e) {
-      f.h.status = Status::kCancelled;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
+      f = error_frame(hdr, Status::kCancelled, e.what());
       shards_[shard]->health.note_success();
     } catch (const rpc::RpcError& e) {
-      f.h.status = e.status();
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
+      f = error_frame(hdr, e.status(), e.what());
       shards_[shard]->health.note_success();
     } catch (const rpc::TransportError&) {
-      f.h.status = Status::kInternal;
-      const std::string msg =
-          "router: shard connection lost mid-stream (terminal)";
-      f.payload.assign(msg.begin(), msg.end());
+      f = error_frame(hdr, Status::kInternal,
+                      "router: shard connection lost mid-stream (terminal)");
       shards_[shard]->health.note_failure(cfg_.health);
     } catch (const std::exception& e) {
-      f.h.status = Status::kInternal;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
+      f = error_frame(hdr, Status::kInternal, e.what());
     }
     if (ok && !is_end) return f;  // mid-stream ack, stream stays pinned
     // Terminal: End acked, or any failure at all (mid-stream failover is
@@ -852,74 +665,6 @@ void ShardRouter::handle_stream_frame(const std::shared_ptr<ConnState>& cs,
     }
     return f;
   });
-}
-
-void ShardRouter::writer_loop(std::shared_ptr<ConnState> cs) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  bool conn_ok = true;
-  for (;;) {
-    std::function<Frame()> slot;
-    {
-      std::unique_lock<std::mutex> lock(cs->mu);
-      cs->cv.wait(lock,
-                  [&] { return !cs->slots.empty() || cs->reader_done; });
-      if (cs->slots.empty()) break;  // reader done and everything drained
-      slot = std::move(cs->slots.front());
-      cs->slots.pop_front();
-    }
-    // Resolving a slot never throws (each slot catches internally) but
-    // may block on a backend future — which always resolves (RpcClient's
-    // contract), so every slot drains even after the client died.
-    Frame f = slot();
-    if (!conn_ok) {
-      reg.counter_add("router.responses_dropped");
-      continue;
-    }
-    try {
-      const u32 bound = rpc::response_payload_bound(cfg_.max_payload_bytes);
-      try {
-        rpc::write_frame(*cs->conn, f, bound);
-      } catch (const std::length_error&) {
-        rpc::write_frame(*cs->conn,
-                         error_frame(f.h, Status::kInternal,
-                                     "response exceeds the frame bound"),
-                         bound);
-      }
-      reg.counter_add("router.responses_written");
-    } catch (...) {
-      conn_ok = false;
-      cs->conn->shutdown();  // unblocks the reader too
-      reg.counter_add("router.responses_dropped");
-    }
-  }
-  cs->conn->shutdown();
-
-  // Streams still bound when the client connection dies never reach their
-  // End: abort them here (all slots drained, so nothing can race the
-  // sweep) and force the shard's half closed too — cancel() interrupts an
-  // in-flight encode (the cancel frame is sent synchronously; the
-  // deferred ack future may be dropped), and a poisoned End (a byte total
-  // no real stream can reach) makes the shard erase its state with a
-  // typed abort instead of leaking toward its per-connection stream cap.
-  std::vector<ConnState::StreamRoute> orphaned;
-  {
-    std::lock_guard<std::mutex> lock(cs->mu);
-    for (const auto& [sid, route] : cs->stream_routes) {
-      orphaned.push_back(route);
-    }
-    cs->stream_routes.clear();
-  }
-  for (const ConnState::StreamRoute& route : orphaned) {
-    reg.counter_add("router.streams_aborted");
-    rpc::RpcClient& backend = *shards_[route.shard]->client;
-    try {
-      (void)backend.cancel(route.backend_begin_id);
-      (void)backend.stream_end(route.end_op, route.backend_sid,
-                               ~0ull, 0);
-    } catch (...) {
-      // Backend gone too — its connection teardown reaps the stream.
-    }
-  }
 }
 
 void ShardRouter::probe_shard(Shard& sh) {

@@ -9,10 +9,11 @@
 // The router speaks the same wire protocol on both sides: clients connect
 // with an unmodified RpcClient, and each shard is dialed through an
 // embedded RpcClient (inheriting its lazy connect, backoff+redial and
-// generation-swept reconnect). Per client connection the router mirrors
-// RpcServer's threading — a reader that parses/validates/routes and a
-// writer that resolves one response slot per request strictly in request
-// order — so a client cannot tell a router from a single server.
+// generation-swept reconnect). Client connections run on the same
+// rpc::FrameEndpoint as RpcServer (rpc/endpoint.hpp) — one reader that
+// parses/validates and hands each frame to the router, one writer that
+// resolves one response slot per request strictly in request order — so a
+// client cannot tell a router from a single server.
 //
 // Routing is rendezvous hashing (router/hash.hpp) on a scale-invariant
 // request key: compress requests hash the payload's histogram shape with
@@ -44,10 +45,12 @@
 // router.streams_opened == router.streams_completed +
 // router.streams_aborted stays exact after quiesce.
 //
-// Fault sites (util::FaultInjector): router.route (key/candidate
-// computation), router.proxy.write (the forward to a shard),
-// router.health.probe (the background probe) — armed by the router
-// fault-storm soak to prove the resolve-always invariant survives.
+// Fault sites (util::FaultInjector): router.accept, router.read and
+// router.write (the client connection dying at that point, from the
+// endpoint), router.route (key/candidate computation), router.proxy.write
+// (the forward to a shard), router.health.probe (the background probe) —
+// armed by the router tests to prove the resolve-always invariant
+// survives.
 
 #include <atomic>
 #include <condition_variable>
@@ -62,9 +65,9 @@
 #include "router/hash.hpp"
 #include "router/health.hpp"
 #include "rpc/client.hpp"
+#include "rpc/endpoint.hpp"
 #include "rpc/transport.hpp"
 #include "util/clock.hpp"
-#include "util/work_steal.hpp"
 
 namespace parhuff::router {
 
@@ -101,7 +104,7 @@ struct RouterConfig {
   const util::Clock* clock = nullptr;
 };
 
-class ShardRouter {
+class ShardRouter : private rpc::FrameHandler {
  public:
   /// Takes ownership of the client-facing listener, dials nothing yet
   /// (backend clients connect lazily on first use), starts accepting
@@ -141,22 +144,27 @@ class ShardRouter {
   struct Shard;
   struct ConnState;
 
-  void accept_loop();
-  void reader_loop(std::shared_ptr<ConnState> cs);
-  void writer_loop(std::shared_ptr<ConnState> cs);
-  /// Frame-level dispatch; returns false when the connection must drop.
-  bool handle_frame(const std::shared_ptr<ConnState>& cs,
-                    const rpc::Header& h, std::vector<u8> payload);
-  void handle_proxy(const std::shared_ptr<ConnState>& cs,
-                    const rpc::Header& h, std::vector<u8> payload);
+  /// Validates the endpoints and builds one backend client per shard.
+  static std::vector<std::unique_ptr<Shard>> make_shards(
+      std::vector<ShardEndpoint> endpoints, const RouterConfig& cfg,
+      const util::Clock* clock);
+
+  std::shared_ptr<rpc::FrameConn> open_conn() override;
+  bool on_frame(rpc::FrameConn& conn, const rpc::Header& h,
+                std::vector<u8> payload) override;
+  /// Aborts the streams still bound when the client connection died and
+  /// forces each shard's half closed (cancel + poisoned End).
+  void on_drained(rpc::FrameConn& conn) override;
+
+  void handle_proxy(ConnState& cs, const rpc::Header& h,
+                    std::vector<u8> payload);
   /// Open a stream: pick a shard (Begin-time failover), run the backend
   /// Begin to completion, bind client id → (shard, backend id).
-  void handle_stream_begin(const std::shared_ptr<ConnState>& cs,
-                           const rpc::Header& h);
+  void handle_stream_begin(ConnState& cs, const rpc::Header& h);
   /// Forward one Chunk/End on a pinned stream; any failure is terminal
   /// for the stream.
-  void handle_stream_frame(const std::shared_ptr<ConnState>& cs,
-                           const rpc::Header& h, std::vector<u8> payload);
+  void handle_stream_frame(ConnState& cs, const rpc::Header& h,
+                           std::vector<u8> payload);
   /// Candidate order for a key: available shards first (hash order),
   /// then the rest (fail-open last resorts), truncated to the attempt
   /// budget.
@@ -172,11 +180,6 @@ class ShardRouter {
   RouterConfig cfg_;
   const util::Clock* clock_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<rpc::Listener> listener_;
-
-  mutable std::mutex conns_mu_;
-  std::vector<std::weak_ptr<ConnState>> conns_;
-  bool stopping_ = false;  // under conns_mu_
 
   /// Spreads stream placement (Begin frames carry no payload to hash).
   std::atomic<u64> stream_nonce_{0};
@@ -188,7 +191,7 @@ class ShardRouter {
 
   /// Declared last: destroyed first, joining the accept/reader/writer
   /// tasks while the shards they proxy to are still alive.
-  std::unique_ptr<WorkStealExecutor> io_;
+  rpc::FrameEndpoint endpoint_;
 };
 
 }  // namespace parhuff::router

@@ -43,7 +43,7 @@ RpcClient::RpcClient(Connector connect, ClientConfig cfg)
   if (!connector_) {
     throw std::invalid_argument("RpcClient: null connector");
   }
-  reader_ = std::thread([this] { reader_loop(); });
+  reader_ = std::thread([this] { receive_loop(); });
 }
 
 RpcClient::~RpcClient() {
@@ -471,7 +471,7 @@ std::pair<std::shared_ptr<Connection>, u64> RpcClient::ensure_connected() {
                        " attempts: " + last_error);
 }
 
-void RpcClient::reader_loop() {
+void RpcClient::receive_loop() {
   for (;;) {
     std::shared_ptr<Connection> conn;
     u64 gen = 0;

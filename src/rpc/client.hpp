@@ -229,7 +229,7 @@ class RpcClient {
   /// generation, dialing (with backoff) when there is none. Throws
   /// TransportError after the attempt budget.
   [[nodiscard]] std::pair<std::shared_ptr<Connection>, u64> ensure_connected();
-  void reader_loop();
+  void receive_loop();
   /// Fail every pending entry of `generation` with TransportError.
   void fail_generation(u64 generation, const char* why);
 

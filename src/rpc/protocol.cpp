@@ -2,6 +2,11 @@
 
 #include <cstring>
 
+#include "obs/json.hpp"
+#include "obs/metrics.hpp"
+#include "obs/report.hpp"
+#include "svc/service.hpp"
+
 namespace parhuff::rpc {
 
 namespace {
@@ -32,6 +37,39 @@ const char* status_name(Status s) {
     case Status::kInternal: return "internal";
   }
   return "unknown";
+}
+
+Frame ok_frame(const Header& req, std::vector<u8> payload) {
+  Frame f;
+  f.h.kind = Kind::kResponse;
+  f.h.op = req.op;
+  f.h.sym_width = req.sym_width;
+  f.h.request_id = req.request_id;
+  f.h.stream_id = req.stream_id;
+  f.h.status = Status::kOk;
+  f.payload = std::move(payload);
+  return f;
+}
+
+Frame error_frame(const Header& req, Status status, std::string_view message) {
+  Frame f = ok_frame(req, std::vector<u8>(message.begin(), message.end()));
+  f.h.status = status;
+  return f;
+}
+
+svc::Priority to_priority(u8 p) {
+  if (p >= static_cast<u8>(svc::Priority::kHigh)) return svc::Priority::kHigh;
+  return static_cast<svc::Priority>(p);
+}
+
+Frame stats_frame(u64 request_id, std::string_view name) {
+  obs::Json j = obs::Json::object();
+  j.set("schema", obs::kMetricsSchema);
+  j.set("name", std::string(name));
+  j.set("metrics", obs::MetricsRegistry::global().to_json());
+  const std::string text = j.dump();
+  return ok_frame(Header{.op = Op::kStats, .request_id = request_id},
+                  std::vector<u8>(text.begin(), text.end()));
 }
 
 std::array<u8, kHeaderBytes> encode_header(const Header& h) {

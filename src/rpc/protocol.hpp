@@ -91,10 +91,15 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "util/types.hpp"
+
+namespace parhuff::svc {
+enum class Priority : u8;  // svc/service.hpp
+}  // namespace parhuff::svc
 
 namespace parhuff::rpc {
 
@@ -246,6 +251,22 @@ struct Frame {
   Header h;
   std::vector<u8> payload;
 };
+
+/// The kOk response to `req`: echoes its op, sym_width, request_id and
+/// stream_id around `payload`.
+[[nodiscard]] Frame ok_frame(const Header& req, std::vector<u8> payload = {});
+
+/// A typed non-kOk response to `req`, addressed like ok_frame(); the
+/// message is the payload.
+[[nodiscard]] Frame error_frame(const Header& req, Status status,
+                                std::string_view message);
+
+/// The wire priority byte as an svc::Priority (values past kHigh clamp).
+[[nodiscard]] svc::Priority to_priority(u8 p);
+
+/// The kStats response to request `request_id`: a parhuff-metrics-v1 JSON
+/// document named `name` holding the global metrics registry.
+[[nodiscard]] Frame stats_frame(u64 request_id, std::string_view name);
 
 /// Payload of a kHealth response: the compact load/liveness snapshot a
 /// router's in-band probe consumes. Fixed little-endian layout

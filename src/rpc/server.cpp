@@ -1,10 +1,6 @@
 #include "rpc/server.hpp"
 
-#include <array>
-#include <condition_variable>
 #include <cstring>
-#include <deque>
-#include <functional>
 #include <optional>
 #include <type_traits>
 #include <unordered_map>
@@ -15,7 +11,6 @@
 #include "core/streaming.hpp"
 #include "lossy/lossy.hpp"
 #include "obs/metrics.hpp"
-#include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "util/fault_inject.hpp"
 #include "util/hash.hpp"
@@ -23,24 +18,6 @@
 namespace parhuff::rpc {
 
 namespace {
-
-[[nodiscard]] Frame error_frame(const Header& req, Status status,
-                                const std::string& message) {
-  Frame f;
-  f.h.kind = Kind::kResponse;
-  f.h.op = req.op;
-  f.h.sym_width = req.sym_width;
-  f.h.request_id = req.request_id;
-  f.h.stream_id = req.stream_id;
-  f.h.status = status;
-  f.payload.assign(message.begin(), message.end());
-  return f;
-}
-
-[[nodiscard]] svc::Priority to_priority(u8 p) {
-  if (p >= static_cast<u8>(svc::Priority::kHigh)) return svc::Priority::kHigh;
-  return static_cast<svc::Priority>(p);
-}
 
 [[nodiscard]] bool is_compress_stream_op(Op op) {
   return op == Op::kCompressStreamBegin || op == Op::kCompressStreamChunk ||
@@ -232,6 +209,15 @@ class DecompressStreamCodec final : public StreamChunkCodec {
                                                       output_bound);
 }
 
+/// Latency histogram and trace span every request slot ends with.
+void record_request(double start_us) {
+  obs::TraceRecorder& rec = obs::TraceRecorder::global();
+  const double done_us = rec.now_us();
+  obs::MetricsRegistry::global().histo_record("rpc.request_seconds",
+                                              (done_us - start_us) / 1e6);
+  rec.complete("rpc.request", "rpc", start_us, done_us - start_us);
+}
+
 }  // namespace
 
 /// One open v3 stream. Created by Begin, destroyed by End, an error or
@@ -251,19 +237,9 @@ struct RpcServer::StreamState {
   std::unique_ptr<StreamChunkCodec> codec;
 };
 
-/// Everything the reader and writer of one connection share. The response
-/// slots are copyable std::functions (move-only captures ride behind
-/// shared_ptr, the same boxing the service's dispatch() uses); they hold a
-/// raw ConnState* where needed — safe because the writer keeps the state
-/// alive for as long as any slot exists.
-struct RpcServer::ConnState {
-  std::shared_ptr<Connection> conn;
-
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<std::function<Frame()>> slots;  // FIFO response order
-  bool reader_done = false;
-
+/// The server's per-connection state on top of the endpoint's slot queue:
+/// what a cancel frame or the teardown sweep must find. Guarded by mu.
+struct RpcServer::ConnState final : FrameConn {
   // Cancellable in-flight requests on this connection, by request id.
   std::unordered_map<u64, svc::RequestHandle> compress_inflight;
   std::unordered_map<u64, std::shared_ptr<CancelToken>> decode_inflight;
@@ -273,31 +249,15 @@ struct RpcServer::ConnState {
   // state is mutated only by the strictly-sequential writer slots.
   std::unordered_map<u64, std::shared_ptr<StreamState>> streams;
 
-  void enqueue(std::function<Frame()> slot) {
+  /// A single-frame request slot's epilogue: forget the request's cancel
+  /// handle, then record its latency and span.
+  void finish(u64 request_id, double start_us) {
     {
       std::lock_guard<std::mutex> lock(mu);
-      slots.push_back(std::move(slot));
+      compress_inflight.erase(request_id);
+      decode_inflight.erase(request_id);
     }
-    cv.notify_all();
-  }
-
-  void enqueue_ready(Frame f) {
-    auto boxed = std::make_shared<Frame>(std::move(f));
-    enqueue([boxed]() { return std::move(*boxed); });
-  }
-
-  void reader_finished() {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      reader_done = true;
-    }
-    cv.notify_all();
-  }
-
-  void unregister(u64 id) {
-    std::lock_guard<std::mutex> lock(mu);
-    compress_inflight.erase(id);
-    decode_inflight.erase(id);
+    record_request(start_us);
   }
 };
 
@@ -306,172 +266,35 @@ RpcServer::RpcServer(std::unique_ptr<Listener> listener, ServerConfig cfg)
       clock_(cfg.service.clock ? cfg.service.clock : &util::Clock::real()),
       svc8_(std::make_unique<svc::CompressionService<u8>>(cfg.service)),
       svc16_(std::make_unique<svc::CompressionService<u16>>(cfg.service)),
-      listener_(std::move(listener)) {
-  if (!listener_) {
-    throw std::invalid_argument("RpcServer: listener must not be null");
-  }
-  if (cfg_.max_connections == 0) {
-    throw std::invalid_argument("RpcServer: max_connections must be > 0");
-  }
-  const int io = cfg_.io_threads > 0
-                     ? cfg_.io_threads
-                     : static_cast<int>(1 + 2 * cfg_.max_connections);
-  io_ = std::make_unique<WorkStealExecutor>(io, clock_);
-  io_->submit([this] { accept_loop(); });
-}
+      endpoint_(std::move(listener), *this,
+                EndpointConfig{.max_connections = cfg.max_connections,
+                               .max_payload_bytes = cfg.max_payload_bytes,
+                               .io_threads = cfg.io_threads,
+                               .clock = clock_,
+                               .counter_prefix = "rpc",
+                               .fault_prefix = "rpc.server"}) {}
 
-RpcServer::~RpcServer() {
-  stop();
-  io_.reset();  // joins accept/reader/writer tasks
-  // Services tear down after the io tasks that use them (member order).
-}
+// The endpoint is the last member, so it stops and joins its io tasks
+// before the services they use tear down.
+RpcServer::~RpcServer() = default;
 
-void RpcServer::stop() {
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    stopping_ = true;
-  }
-  listener_->close();
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto& w : conns_) {
-      if (std::shared_ptr<ConnState> cs = w.lock()) cs->conn->shutdown();
-    }
-  }
-  io_->wait_idle();
-}
+void RpcServer::stop() { endpoint_.stop(); }
 
 std::size_t RpcServer::connection_count() const {
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  std::size_t live = 0;
-  for (const auto& w : conns_) {
-    if (!w.expired()) ++live;
-  }
-  return live;
+  return endpoint_.connection_count();
 }
 
-void RpcServer::accept_loop() {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  for (;;) {
-    std::unique_ptr<Connection> c;
-    try {
-      c = listener_->accept();
-    } catch (...) {
-      break;  // listener failed: server keeps serving live connections
-    }
-    if (!c) break;  // closed
-
-    bool reject = false;
-    // Fault site: the connection dies right after accept (e.g. a peer
-    // that vanished during the handshake).
-    try {
-      util::FaultInjector::global().maybe_throw("rpc.server.accept");
-    } catch (...) {
-      reject = true;
-    }
-
-    std::shared_ptr<ConnState> cs;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      std::size_t live = 0;
-      std::erase_if(conns_, [](const std::weak_ptr<ConnState>& w) {
-        return w.expired();
-      });
-      live = conns_.size();
-      if (stopping_ || live >= cfg_.max_connections) reject = true;
-      if (!reject) {
-        cs = std::make_shared<ConnState>();
-        cs->conn = std::shared_ptr<Connection>(std::move(c));
-        conns_.push_back(cs);
-      }
-    }
-    if (reject) {
-      if (c) c->shutdown();
-      reg.counter_add("rpc.connections_rejected");
-      continue;
-    }
-    reg.counter_add("rpc.connections_accepted");
-
-    // The writer goes first so a reader-submit failure can still unblock
-    // it via reader_finished(). Executor-submit faults are transient; a
-    // connection that cannot get its tasks scheduled is dropped whole.
-    bool writer_up = false;
-    try {
-      io_->submit([this, cs] { writer_loop(cs); });
-      writer_up = true;
-      io_->submit([this, cs] { reader_loop(cs); });
-    } catch (...) {
-      cs->conn->shutdown();
-      if (writer_up) {
-        cs->reader_finished();
-      }
-      reg.counter_add("rpc.connections_rejected");
-    }
-  }
+std::shared_ptr<FrameConn> RpcServer::open_conn() {
+  return std::make_shared<ConnState>();
 }
 
-void RpcServer::reader_loop(std::shared_ptr<ConnState> cs) {
+bool RpcServer::on_frame(FrameConn& conn, const Header& h,
+                         std::vector<u8> payload) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  util::FaultInjector& faults = util::FaultInjector::global();
-  for (;;) {
-    std::array<u8, kHeaderBytes> hb;
-    try {
-      // Fault site: the connection dies between frames.
-      faults.maybe_throw("rpc.server.read");
-      if (!cs->conn->read_exact(hb.data(), kHeaderBytes)) break;
-    } catch (...) {
-      break;
-    }
-
-    Header h;
-    try {
-      h = decode_header(std::span<const u8, kHeaderBytes>(hb),
-                        cfg_.max_payload_bytes);
-    } catch (const ProtocolError& e) {
-      reg.counter_add("rpc.protocol_errors");
-      if (!e.can_respond()) break;  // stream not frame-aligned: drop
-      // Stay frame-synced by consuming the declared payload when its
-      // length is sane; an oversized declaration is unskippable, so the
-      // typed error is the connection's last frame.
-      u32 raw_len = 0;
-      std::memcpy(&raw_len, hb.data() + 20, sizeof(raw_len));
-      const bool resync = raw_len <= cfg_.max_payload_bytes;
-      if (resync && raw_len > 0) {
-        std::vector<u8> skip(raw_len);
-        try {
-          if (!cs->conn->read_exact(skip.data(), skip.size())) break;
-        } catch (...) {
-          break;
-        }
-      }
-      reg.counter_add("rpc.protocol_error_responses");
-      cs->enqueue_ready(
-          error_frame(Header{.op = Op::kCompress,
-                             .request_id = e.request_id()},
-                      e.status(), e.what()));
-      if (!resync) break;
-      continue;
-    }
-
-    std::vector<u8> payload(h.payload_len);
-    try {
-      if (!cs->conn->read_exact(payload.data(), payload.size())) break;
-    } catch (...) {
-      break;
-    }
-
-    reg.counter_add("rpc.requests_received");
-    if (!handle_frame(cs, h, std::move(payload))) break;
-  }
-  cs->reader_finished();
-}
-
-bool RpcServer::handle_frame(const std::shared_ptr<ConnState>& cs,
-                             const Header& h, std::vector<u8> payload) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  ConnState& cs = static_cast<ConnState&>(conn);
   if (h.kind != Kind::kRequest) {
-    cs->enqueue_ready(error_frame(
-        h, Status::kBadRequest, "response frame sent to a server"));
+    cs.enqueue_ready(error_frame(h, Status::kBadRequest,
+                                 "response frame sent to a server"));
     return true;
   }
   switch (h.op) {
@@ -483,8 +306,8 @@ bool RpcServer::handle_frame(const std::shared_ptr<ConnState>& cs,
         handle_compress<u16>(cs, h, std::move(payload), cfg_.pipeline16,
                              *svc16_);
       } else {
-        cs->enqueue_ready(error_frame(h, Status::kBadRequest,
-                                      "sym_width must be 1 or 2"));
+        cs.enqueue_ready(error_frame(h, Status::kBadRequest,
+                                     "sym_width must be 1 or 2"));
       }
       return true;
     case Op::kDecompress:
@@ -493,14 +316,14 @@ bool RpcServer::handle_frame(const std::shared_ptr<ConnState>& cs,
       } else if (h.sym_width == 2) {
         handle_decompress<u16>(cs, h, std::move(payload));
       } else {
-        cs->enqueue_ready(error_frame(h, Status::kBadRequest,
-                                      "sym_width must be 1 or 2"));
+        cs.enqueue_ready(error_frame(h, Status::kBadRequest,
+                                     "sym_width must be 1 or 2"));
       }
       return true;
     case Op::kCancel: {
       if (payload.size() != sizeof(u64)) {
-        cs->enqueue_ready(error_frame(
-            h, Status::kBadRequest, "cancel payload must be a u64 id"));
+        cs.enqueue_ready(error_frame(h, Status::kBadRequest,
+                                     "cancel payload must be a u64 id"));
         return true;
       }
       u64 target = 0;
@@ -509,23 +332,18 @@ bool RpcServer::handle_frame(const std::shared_ptr<ConnState>& cs,
       // Apply immediately in the reader — a cancel must not wait behind
       // the in-order response stream it is trying to shorten.
       {
-        std::lock_guard<std::mutex> lock(cs->mu);
-        if (auto it = cs->compress_inflight.find(target);
-            it != cs->compress_inflight.end()) {
+        std::lock_guard<std::mutex> lock(cs.mu);
+        if (auto it = cs.compress_inflight.find(target);
+            it != cs.compress_inflight.end()) {
           it->second.cancel();
-        } else if (auto jt = cs->decode_inflight.find(target);
-                   jt != cs->decode_inflight.end()) {
+        } else if (auto jt = cs.decode_inflight.find(target);
+                   jt != cs.decode_inflight.end()) {
           jt->second->request();
         }
         // Unknown id: the request already resolved (or never existed) —
         // cancel is idempotent best-effort either way.
       }
-      Frame ack;
-      ack.h.kind = Kind::kResponse;
-      ack.h.op = Op::kCancel;
-      ack.h.request_id = h.request_id;
-      ack.h.status = Status::kOk;
-      cs->enqueue_ready(std::move(ack));
+      cs.enqueue_ready(ok_frame(h));
       return true;
     }
     case Op::kHealth: {
@@ -535,20 +353,11 @@ bool RpcServer::handle_frame(const std::shared_ptr<ConnState>& cs,
       HealthInfo info;
       info.queue_depth = svc8_->queue_depth() + svc16_->queue_depth();
       info.queue_capacity = 2 * cfg_.service.queue_capacity;
-      info.connections = connection_count();
+      info.connections = endpoint_.connection_count();
       info.max_connections = cfg_.max_connections;
-      {
-        std::lock_guard<std::mutex> lock(conns_mu_);
-        info.accepting = !stopping_;
-      }
-      Frame f;
-      f.h.kind = Kind::kResponse;
-      f.h.op = Op::kHealth;
-      f.h.request_id = h.request_id;
-      f.h.status = Status::kOk;
-      f.payload = encode_health_info(info);
+      info.accepting = endpoint_.accepting();
       reg.counter_add("rpc.health_probes");
-      cs->enqueue_ready(std::move(f));
+      cs.enqueue_ready(ok_frame(h, encode_health_info(info)));
       return true;
     }
     case Op::kLossyCompress:
@@ -567,35 +376,34 @@ bool RpcServer::handle_frame(const std::shared_ptr<ConnState>& cs,
     case Op::kDecompressStreamEnd:
       handle_stream_frame(cs, h, std::move(payload));
       return true;
-    case Op::kStats: {
-      cs->enqueue([id = h.request_id]() {
-        Frame f;
-        f.h.kind = Kind::kResponse;
-        f.h.op = Op::kStats;
-        f.h.request_id = id;
-        f.h.status = Status::kOk;
-        obs::Json j = obs::Json::object();
-        j.set("schema", obs::kMetricsSchema);
-        j.set("name", "rpc-stats");
-        j.set("metrics", obs::MetricsRegistry::global().to_json());
-        const std::string text = j.dump();
-        f.payload.assign(text.begin(), text.end());
-        return f;
-      });
+    case Op::kStats:
+      cs.enqueue([id = h.request_id] { return stats_frame(id, "rpc-stats"); });
       return true;
-    }
   }
   return true;  // unreachable: decode_header validated the op
 }
 
+void RpcServer::on_drained(FrameConn& conn) {
+  // Every slot has drained, so no stream can make further progress:
+  // whatever is still open died with the connection and settles the
+  // opened == completed + aborted balance as aborted.
+  ConnState& cs = static_cast<ConnState&>(conn);
+  std::lock_guard<std::mutex> lock(cs.mu);
+  if (!cs.streams.empty()) {
+    obs::MetricsRegistry::global().counter_add("rpc.streams_aborted",
+                                               cs.streams.size());
+    cs.streams.clear();
+  }
+}
+
 template <typename Sym>
-void RpcServer::handle_compress(const std::shared_ptr<ConnState>& cs,
-                                const Header& h, std::vector<u8> payload,
+void RpcServer::handle_compress(ConnState& cs, const Header& h,
+                                std::vector<u8> payload,
                                 const PipelineConfig& pl,
                                 svc::CompressionService<Sym>& svc) {
   if (payload.size() % sizeof(Sym) != 0) {
-    cs->enqueue_ready(error_frame(
-        h, Status::kBadRequest, "payload is not a whole number of symbols"));
+    cs.enqueue_ready(error_frame(h, Status::kBadRequest,
+                                 "payload is not a whole number of symbols"));
     return;
   }
   // Byte symbols ride the wire buffer straight through; wider symbols
@@ -622,63 +430,50 @@ void RpcServer::handle_compress(const std::shared_ptr<ConnState>& cs,
   try {
     sub = svc.submit(std::move(data), pl, opts);
   } catch (const svc::QueueFullError&) {
-    cs->enqueue_ready(error_frame(h, Status::kQueueFull,
-                                  "service admission queue full"));
+    cs.enqueue_ready(error_frame(h, Status::kQueueFull,
+                                 "service admission queue full"));
     return;
   } catch (const std::logic_error&) {
-    cs->enqueue_ready(
+    cs.enqueue_ready(
         error_frame(h, Status::kShuttingDown, "server shutting down"));
     return;
   } catch (const std::exception& e) {
-    cs->enqueue_ready(error_frame(h, Status::kBadRequest, e.what()));
+    cs.enqueue_ready(error_frame(h, Status::kBadRequest, e.what()));
     return;
   }
 
   {
-    std::lock_guard<std::mutex> lock(cs->mu);
-    cs->compress_inflight.emplace(h.request_id, sub.handle);
+    std::lock_guard<std::mutex> lock(cs.mu);
+    cs.compress_inflight.emplace(h.request_id, sub.handle);
   }
 
   auto fut = std::make_shared<std::future<svc::CompressResult<Sym>>>(
       std::move(sub.result));
-  ConnState* raw = cs.get();  // the writer keeps *cs alive past this slot
+  ConnState* raw = &cs;  // the writer keeps *raw alive past this slot
   const double start_us = obs::TraceRecorder::global().now_us();
-  cs->enqueue([raw, fut, hdr = h, start_us]() {
+  cs.enqueue([raw, fut, hdr = h, start_us]() {
     Frame f;
-    f.h.kind = Kind::kResponse;
-    f.h.op = Op::kCompress;
-    f.h.sym_width = hdr.sym_width;
-    f.h.request_id = hdr.request_id;
     try {
       svc::CompressResult<Sym> res = fut->get();
       Compressed<Sym> blob;
       blob.codebook = *res.codebook;
       blob.stream = std::move(res.stream);
-      f.payload = serialize<Sym>(blob);
-      f.h.status = Status::kOk;
+      f = ok_frame(hdr, serialize<Sym>(blob));
     } catch (const svc::DeadlineExceeded& e) {
-      f.h.status = Status::kDeadlineExceeded;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
+      f = error_frame(hdr, Status::kDeadlineExceeded, e.what());
     } catch (const svc::CancelledError& e) {
-      f.h.status = Status::kCancelled;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
+      f = error_frame(hdr, Status::kCancelled, e.what());
     } catch (const std::exception& e) {
-      f.h.status = Status::kInternal;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
+      f = error_frame(hdr, Status::kInternal, e.what());
     }
-    raw->unregister(hdr.request_id);
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-    obs::TraceRecorder& rec = obs::TraceRecorder::global();
-    const double done_us = rec.now_us();
-    reg.histo_record("rpc.request_seconds", (done_us - start_us) / 1e6);
-    rec.complete("rpc.request", "rpc", start_us, done_us - start_us);
+    raw->finish(hdr.request_id, start_us);
     return f;
   });
 }
 
 template <typename Sym>
-void RpcServer::handle_decompress(const std::shared_ptr<ConnState>& cs,
-                                  const Header& h, std::vector<u8> payload) {
+void RpcServer::handle_decompress(ConnState& cs, const Header& h,
+                                  std::vector<u8> payload) {
   auto token = std::make_shared<CancelToken>();
   if (h.deadline_micros != 0) {
     token->arm_deadline(clock_->now() + util::Clock::dur(
@@ -686,24 +481,20 @@ void RpcServer::handle_decompress(const std::shared_ptr<ConnState>& cs,
                         *clock_);
   }
   {
-    std::lock_guard<std::mutex> lock(cs->mu);
-    cs->decode_inflight.emplace(h.request_id, token);
+    std::lock_guard<std::mutex> lock(cs.mu);
+    cs.decode_inflight.emplace(h.request_id, token);
   }
   auto body = std::make_shared<std::vector<u8>>(std::move(payload));
-  ConnState* raw = cs.get();
+  ConnState* raw = &cs;
   const double start_us = obs::TraceRecorder::global().now_us();
   // The decode runs on the writer task itself (requests on one connection
   // are an ordered stream anyway); the walk polls the token, so a cancel
-  // frame or the deadline aborts it mid-stream (satellite: decode-side
-  // cancellation).
-  cs->enqueue([raw, body, token, hdr = h, start_us]() {
+  // frame or the deadline aborts it mid-stream.
+  cs.enqueue([raw, body, token, hdr = h, start_us]() {
     Frame f;
-    f.h.kind = Kind::kResponse;
-    f.h.op = Op::kDecompress;
-    f.h.sym_width = hdr.sym_width;
-    f.h.request_id = hdr.request_id;
     try {
       token->check();  // cheap pre-flight: already cancelled/expired?
+      std::vector<u8> out_bytes;
       if (body->size() >= 4 &&
           std::memcmp(body->data(), kStreamHeaderMagic, 4) == 0) {
         // A PHS2 streamed container (StreamingCompressor output — what
@@ -717,10 +508,10 @@ void RpcServer::handle_decompress(const std::shared_ptr<ConnState>& cs,
         for (const std::span<const u8> seg :
              StreamingDecompressor<Sym>::split_frames(bytes.subspan(hl))) {
           const std::vector<Sym> out = sd.decode_segment(seg, token.get());
-          const std::size_t at = f.payload.size();
-          f.payload.resize(at + out.size() * sizeof(Sym));
+          const std::size_t at = out_bytes.size();
+          out_bytes.resize(at + out.size() * sizeof(Sym));
           if (!out.empty()) {
-            std::memcpy(f.payload.data() + at, out.data(),
+            std::memcpy(out_bytes.data() + at, out.data(),
                         out.size() * sizeof(Sym));
           }
         }
@@ -731,38 +522,28 @@ void RpcServer::handle_decompress(const std::shared_ptr<ConnState>& cs,
         // otherwise.
         const std::vector<Sym> out =
             decode_auto<Sym>(blob.stream, blob.codebook, 0, token.get());
-        f.payload.resize(out.size() * sizeof(Sym));
+        out_bytes.resize(out.size() * sizeof(Sym));
         if (!out.empty()) {
-          std::memcpy(f.payload.data(), out.data(), f.payload.size());
+          std::memcpy(out_bytes.data(), out.data(), out_bytes.size());
         }
       }
-      f.h.status = Status::kOk;
+      f = ok_frame(hdr, std::move(out_bytes));
     } catch (const OperationCancelled& e) {
-      f.h.status = Status::kCancelled;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
+      f = error_frame(hdr, Status::kCancelled, e.what());
     } catch (const DeadlineExpired& e) {
-      f.h.status = Status::kDeadlineExceeded;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
+      f = error_frame(hdr, Status::kDeadlineExceeded, e.what());
     } catch (const std::runtime_error& e) {
       // Malformed container / corrupt stream: the client's fault.
-      f.h.status = Status::kBadRequest;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
+      f = error_frame(hdr, Status::kBadRequest, e.what());
     } catch (const std::exception& e) {
-      f.h.status = Status::kInternal;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
+      f = error_frame(hdr, Status::kInternal, e.what());
     }
-    raw->unregister(hdr.request_id);
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-    obs::TraceRecorder& rec = obs::TraceRecorder::global();
-    const double done_us = rec.now_us();
-    reg.histo_record("rpc.request_seconds", (done_us - start_us) / 1e6);
-    rec.complete("rpc.request", "rpc", start_us, done_us - start_us);
+    raw->finish(hdr.request_id, start_us);
     return f;
   });
 }
 
-void RpcServer::handle_lossy_compress(const std::shared_ptr<ConnState>& cs,
-                                      const Header& h,
+void RpcServer::handle_lossy_compress(ConnState& cs, const Header& h,
                                       std::vector<u8> payload) {
   // Validate the shape before any allocation is committed to it: header
   // present, sample stream a whole number of f32s, dims matching the
@@ -772,13 +553,13 @@ void RpcServer::handle_lossy_compress(const std::shared_ptr<ConnState>& cs,
   try {
     lh = decode_lossy_request_header(payload);
   } catch (const ProtocolError& e) {
-    cs->enqueue_ready(error_frame(h, Status::kBadRequest, e.what()));
+    cs.enqueue_ready(error_frame(h, Status::kBadRequest, e.what()));
     return;
   }
   const std::size_t body_bytes = payload.size() - kLossyRequestHeaderBytes;
   if (body_bytes % sizeof(float) != 0) {
-    cs->enqueue_ready(error_frame(
-        h, Status::kBadRequest, "payload is not a whole number of f32s"));
+    cs.enqueue_ready(error_frame(h, Status::kBadRequest,
+                                 "payload is not a whole number of f32s"));
     return;
   }
   const u64 n_floats = body_bytes / sizeof(float);
@@ -787,12 +568,12 @@ void RpcServer::handle_lossy_compress(const std::shared_ptr<ConnState>& cs,
   dims_ok = dims_ok && lh.nx * lh.ny <= n_floats / lh.nz;
   dims_ok = dims_ok && lh.nx * lh.ny * lh.nz == n_floats;
   if (!dims_ok) {
-    cs->enqueue_ready(error_frame(
-        h, Status::kBadRequest, "dims do not match the f32 sample count"));
+    cs.enqueue_ready(error_frame(h, Status::kBadRequest,
+                                 "dims do not match the f32 sample count"));
     return;
   }
   if (lh.nbins < 4 || lh.nbins > 65536) {
-    cs->enqueue_ready(
+    cs.enqueue_ready(
         error_frame(h, Status::kBadRequest, "nbins out of range [4, 65536]"));
     return;
   }
@@ -826,62 +607,46 @@ void RpcServer::handle_lossy_compress(const std::shared_ptr<ConnState>& cs,
               ? svc8_->submit_lossy(std::move(field), dims, fc, opts)
               : svc16_->submit_lossy(std::move(field), dims, fc, opts);
   } catch (const svc::QueueFullError&) {
-    cs->enqueue_ready(error_frame(h, Status::kQueueFull,
-                                  "service admission queue full"));
+    cs.enqueue_ready(error_frame(h, Status::kQueueFull,
+                                 "service admission queue full"));
     return;
   } catch (const std::logic_error&) {
-    cs->enqueue_ready(
+    cs.enqueue_ready(
         error_frame(h, Status::kShuttingDown, "server shutting down"));
     return;
   } catch (const std::exception& e) {
-    cs->enqueue_ready(error_frame(h, Status::kBadRequest, e.what()));
+    cs.enqueue_ready(error_frame(h, Status::kBadRequest, e.what()));
     return;
   }
 
   {
-    std::lock_guard<std::mutex> lock(cs->mu);
-    cs->compress_inflight.emplace(h.request_id, sub.handle);
+    std::lock_guard<std::mutex> lock(cs.mu);
+    cs.compress_inflight.emplace(h.request_id, sub.handle);
   }
 
   auto fut = std::make_shared<std::future<svc::LossyResult>>(
       std::move(sub.result));
-  ConnState* raw = cs.get();  // the writer keeps *cs alive past this slot
+  ConnState* raw = &cs;  // the writer keeps *raw alive past this slot
   const double start_us = obs::TraceRecorder::global().now_us();
-  cs->enqueue([raw, fut, hdr = h, start_us]() {
+  cs.enqueue([raw, fut, hdr = h, start_us]() {
     Frame f;
-    f.h.kind = Kind::kResponse;
-    f.h.op = Op::kLossyCompress;
-    f.h.sym_width = hdr.sym_width;
-    f.h.request_id = hdr.request_id;
     try {
-      svc::LossyResult res = fut->get();
-      f.payload = std::move(res.container);
-      f.h.status = Status::kOk;
+      f = ok_frame(hdr, std::move(fut->get().container));
     } catch (const svc::DeadlineExceeded& e) {
-      f.h.status = Status::kDeadlineExceeded;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
+      f = error_frame(hdr, Status::kDeadlineExceeded, e.what());
     } catch (const svc::CancelledError& e) {
-      f.h.status = Status::kCancelled;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
+      f = error_frame(hdr, Status::kCancelled, e.what());
     } catch (const std::invalid_argument& e) {
-      f.h.status = Status::kBadRequest;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
+      f = error_frame(hdr, Status::kBadRequest, e.what());
     } catch (const std::exception& e) {
-      f.h.status = Status::kInternal;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
+      f = error_frame(hdr, Status::kInternal, e.what());
     }
-    raw->unregister(hdr.request_id);
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-    obs::TraceRecorder& rec = obs::TraceRecorder::global();
-    const double done_us = rec.now_us();
-    reg.histo_record("rpc.request_seconds", (done_us - start_us) / 1e6);
-    rec.complete("rpc.request", "rpc", start_us, done_us - start_us);
+    raw->finish(hdr.request_id, start_us);
     return f;
   });
 }
 
-void RpcServer::handle_lossy_decompress(const std::shared_ptr<ConnState>& cs,
-                                        const Header& h,
+void RpcServer::handle_lossy_decompress(ConnState& cs, const Header& h,
                                         std::vector<u8> payload) {
   auto token = std::make_shared<CancelToken>();
   if (h.deadline_micros != 0) {
@@ -890,21 +655,17 @@ void RpcServer::handle_lossy_decompress(const std::shared_ptr<ConnState>& cs,
                         *clock_);
   }
   {
-    std::lock_guard<std::mutex> lock(cs->mu);
-    cs->decode_inflight.emplace(h.request_id, token);
+    std::lock_guard<std::mutex> lock(cs.mu);
+    cs.decode_inflight.emplace(h.request_id, token);
   }
   auto body = std::make_shared<std::vector<u8>>(std::move(payload));
-  ConnState* raw = cs.get();
+  ConnState* raw = &cs;
   const double start_us = obs::TraceRecorder::global().now_us();
   // Runs on the writer task like plain decompress; the container magic
   // (PHL1/PHL2) picks the path and the decode/reconstruct walks poll the
   // token.
-  cs->enqueue([raw, body, token, hdr = h, start_us]() {
+  cs.enqueue([raw, body, token, hdr = h, start_us]() {
     Frame f;
-    f.h.kind = Kind::kResponse;
-    f.h.op = Op::kLossyDecompress;
-    f.h.sym_width = hdr.sym_width;
-    f.h.request_id = hdr.request_id;
     try {
       token->check();  // cheap pre-flight: already cancelled/expired?
       const lossy::Field field = lossy::decompress_field(*body, token.get());
@@ -913,43 +674,32 @@ void RpcServer::handle_lossy_decompress(const std::shared_ptr<ConnState>& cs,
       fh.ny = static_cast<u64>(field.dims.ny);
       fh.nz = static_cast<u64>(field.dims.nz);
       fh.error_bound = field.error_bound;
-      f.payload = encode_lossy_field_header(fh);
-      const std::size_t at = f.payload.size();
-      f.payload.resize(at + field.values.size() * sizeof(float));
+      std::vector<u8> out = encode_lossy_field_header(fh);
+      const std::size_t at = out.size();
+      out.resize(at + field.values.size() * sizeof(float));
       if (!field.values.empty()) {
-        std::memcpy(f.payload.data() + at, field.values.data(),
+        std::memcpy(out.data() + at, field.values.data(),
                     field.values.size() * sizeof(float));
       }
-      f.h.status = Status::kOk;
+      f = ok_frame(hdr, std::move(out));
     } catch (const OperationCancelled& e) {
-      f.h.status = Status::kCancelled;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
+      f = error_frame(hdr, Status::kCancelled, e.what());
     } catch (const DeadlineExpired& e) {
-      f.h.status = Status::kDeadlineExceeded;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
+      f = error_frame(hdr, Status::kDeadlineExceeded, e.what());
     } catch (const std::runtime_error& e) {
       // Malformed container / corrupt stream: the client's fault.
-      f.h.status = Status::kBadRequest;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
+      f = error_frame(hdr, Status::kBadRequest, e.what());
     } catch (const std::exception& e) {
-      f.h.status = Status::kInternal;
-      f.payload.assign(e.what(), e.what() + std::strlen(e.what()));
+      f = error_frame(hdr, Status::kInternal, e.what());
     }
-    raw->unregister(hdr.request_id);
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-    obs::TraceRecorder& rec = obs::TraceRecorder::global();
-    const double done_us = rec.now_us();
-    reg.histo_record("rpc.request_seconds", (done_us - start_us) / 1e6);
-    rec.complete("rpc.request", "rpc", start_us, done_us - start_us);
+    raw->finish(hdr.request_id, start_us);
     return f;
   });
 }
 
-void RpcServer::handle_stream_begin(const std::shared_ptr<ConnState>& cs,
-                                    const Header& h) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+void RpcServer::handle_stream_begin(ConnState& cs, const Header& h) {
   if (h.sym_width != 1 && h.sym_width != 2) {
-    cs->enqueue_ready(
+    cs.enqueue_ready(
         error_frame(h, Status::kBadRequest, "sym_width must be 1 or 2"));
     return;
   }
@@ -970,43 +720,36 @@ void RpcServer::handle_stream_begin(const std::shared_ptr<ConnState>& cs,
   st->codec = make_stream_codec(h.op, h.sym_width, cfg_);
   bool over_cap = false;
   {
-    std::lock_guard<std::mutex> lock(cs->mu);
-    if (cs->streams.size() >= cfg_.max_streams_per_connection) {
+    std::lock_guard<std::mutex> lock(cs.mu);
+    if (cs.streams.size() >= cfg_.max_streams_per_connection) {
       over_cap = true;
     } else {
-      cs->streams.emplace(st->id, st);
+      cs.streams.emplace(st->id, st);
       // Registered under the Begin request id: a kCancel naming it aborts
       // the stream at the next chunk, exactly like single-frame requests.
-      cs->decode_inflight.emplace(h.request_id, st->token);
+      cs.decode_inflight.emplace(h.request_id, st->token);
     }
   }
   if (over_cap) {
-    cs->enqueue_ready(error_frame(
-        h, Status::kQueueFull, "per-connection open-stream cap reached"));
+    cs.enqueue_ready(error_frame(h, Status::kQueueFull,
+                                 "per-connection open-stream cap reached"));
     return;
   }
-  reg.counter_add("rpc.streams_opened");
-  Frame f;
-  f.h.kind = Kind::kResponse;
-  f.h.op = h.op;
-  f.h.sym_width = h.sym_width;
-  f.h.request_id = h.request_id;
-  f.h.status = Status::kOk;
-  f.payload.resize(sizeof(u64));
-  std::memcpy(f.payload.data(), &st->id, sizeof(u64));
-  cs->enqueue_ready(std::move(f));
+  obs::MetricsRegistry::global().counter_add("rpc.streams_opened");
+  std::vector<u8> sid(sizeof(u64));
+  std::memcpy(sid.data(), &st->id, sizeof(u64));
+  cs.enqueue_ready(ok_frame(h, std::move(sid)));
 }
 
-void RpcServer::handle_stream_frame(const std::shared_ptr<ConnState>& cs,
-                                    const Header& h,
+void RpcServer::handle_stream_frame(ConnState& cs, const Header& h,
                                     std::vector<u8> payload) {
   auto body = std::make_shared<std::vector<u8>>(std::move(payload));
-  ConnState* raw = cs.get();  // the writer keeps *cs alive past this slot
+  ConnState* raw = &cs;  // the writer keeps *raw alive past this slot
   const double start_us = obs::TraceRecorder::global().now_us();
   // Processed in the writer slot: while this chunk encodes/decodes, the
   // reader is already pulling the next chunk off the wire — that overlap
   // is the whole point of the streaming verbs.
-  cs->enqueue([this, raw, body, hdr = h, start_us]() {
+  cs.enqueue([this, raw, body, hdr = h, start_us]() {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
     const bool is_end = hdr.op == Op::kCompressStreamEnd ||
                         hdr.op == Op::kDecompressStreamEnd;
@@ -1024,11 +767,6 @@ void RpcServer::handle_stream_frame(const std::shared_ptr<ConnState>& cs,
                          "already aborted)");
     }
     Frame f;
-    f.h.kind = Kind::kResponse;
-    f.h.op = hdr.op;
-    f.h.sym_width = hdr.sym_width;
-    f.h.request_id = hdr.request_id;
-    f.h.stream_id = hdr.stream_id;
     bool completed = false;
     try {
       // Fault site: the stream's processing dies mid-chunk (a kernel
@@ -1054,7 +792,7 @@ void RpcServer::handle_stream_frame(const std::shared_ptr<ConnState>& cs,
             st->codec->process(std::move(*body), st->token.get());
         st->bytes_out += out.size();
         reg.counter_add("rpc.stream_bytes_out", out.size());
-        f.payload = std::move(out);
+        f = ok_frame(hdr, std::move(out));
       } else {
         const StreamEndRequest end = decode_stream_end_request(*body);
         if (end.total_bytes != st->bytes_in) {
@@ -1067,11 +805,10 @@ void RpcServer::handle_stream_frame(const std::shared_ptr<ConnState>& cs,
           throw std::invalid_argument("stream checksum mismatch");
         }
         st->codec->finish(st->token.get());
-        f.payload = encode_stream_summary(
-            StreamSummary{st->bytes_in, st->bytes_out, st->checksum});
+        f = ok_frame(hdr, encode_stream_summary(StreamSummary{
+                              st->bytes_in, st->bytes_out, st->checksum}));
         completed = true;
       }
-      f.h.status = Status::kOk;
     } catch (const OperationCancelled& e) {
       f = error_frame(hdr, Status::kCancelled, e.what());
     } catch (const DeadlineExpired& e) {
@@ -1112,66 +849,9 @@ void RpcServer::handle_stream_frame(const std::shared_ptr<ConnState>& cs,
                                   : "rpc.streams_aborted");
       }
     }
-    obs::TraceRecorder& rec = obs::TraceRecorder::global();
-    const double done_us = rec.now_us();
-    reg.histo_record("rpc.request_seconds", (done_us - start_us) / 1e6);
-    rec.complete("rpc.request", "rpc", start_us, done_us - start_us);
+    record_request(start_us);
     return f;
   });
-}
-
-void RpcServer::writer_loop(std::shared_ptr<ConnState> cs) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  util::FaultInjector& faults = util::FaultInjector::global();
-  bool conn_ok = true;
-  for (;;) {
-    std::function<Frame()> slot;
-    {
-      std::unique_lock<std::mutex> lock(cs->mu);
-      cs->cv.wait(lock,
-                  [&] { return !cs->slots.empty() || cs->reader_done; });
-      if (cs->slots.empty()) break;  // reader done and everything drained
-      slot = std::move(cs->slots.front());
-      cs->slots.pop_front();
-    }
-    // Resolving a slot never throws (each slot catches internally) but
-    // may block on a service future — which always resolves, so every
-    // slot drains even after the connection died.
-    Frame f = slot();
-    if (!conn_ok) {
-      reg.counter_add("rpc.responses_dropped");
-      continue;
-    }
-    try {
-      // Fault site: the connection dies while a response is in flight.
-      faults.maybe_throw("rpc.server.write");
-      const u32 bound = response_payload_bound(cfg_.max_payload_bytes);
-      try {
-        write_frame(*cs->conn, f, bound);
-      } catch (const std::length_error&) {
-        write_frame(*cs->conn,
-                    error_frame(f.h, Status::kInternal,
-                                "response exceeds the frame bound"),
-                    bound);
-      }
-      reg.counter_add("rpc.responses_written");
-    } catch (...) {
-      conn_ok = false;
-      cs->conn->shutdown();  // unblocks the reader too
-      reg.counter_add("rpc.responses_dropped");
-    }
-  }
-  // Every slot has drained, so no stream can make further progress:
-  // whatever is still open died with the connection and settles the
-  // opened == completed + aborted balance as aborted.
-  {
-    std::lock_guard<std::mutex> lock(cs->mu);
-    if (!cs->streams.empty()) {
-      reg.counter_add("rpc.streams_aborted", cs->streams.size());
-      cs->streams.clear();
-    }
-  }
-  cs->conn->shutdown();
 }
 
 }  // namespace parhuff::rpc

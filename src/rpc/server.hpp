@@ -1,23 +1,16 @@
 #pragma once
 // RPC server: the cross-process front door for CompressionService
-// (docs/rpc.md). One server owns a u8 and a u16 service instance plus an
-// io WorkStealExecutor; the accept loop, each connection's reader and
-// each connection's writer are long-running tasks on that executor, so
-// the pool is sized 1 + 2 * max_connections by default and connections
-// past max_connections are refused at accept.
-//
-// Per-connection threading:
-//   reader — parses frames, validates, submits compress work to the
-//     service (admission, batching, caching, deadlines and the retry/
-//     degraded machinery all apply exactly as for in-process callers),
-//     registers decompress work, applies cancels immediately, and
-//     enqueues one response slot per request;
-//   writer — resolves response slots strictly in request order (one
-//     connection = one ordered stream, pipelined-HTTP style) and writes
-//     the frames. A compress slot blocks on the service future — which
-//     always resolves (the service's resolve-always invariant) — so no
-//     slot can leak; when the connection dies first, remaining slots are
-//     still drained and counted as rpc.responses_dropped.
+// (docs/rpc.md). One server owns a u8 and a u16 service instance and runs
+// on an rpc::FrameEndpoint (rpc/endpoint.hpp): the endpoint accepts, reads
+// and validates frames and writes one response per request strictly in
+// request order; the server is its frame handler. Per frame it submits
+// compress work to the service (admission, batching, caching, deadlines
+// and the retry/degraded machinery all apply exactly as for in-process
+// callers), registers decompress work, applies cancels immediately, and
+// enqueues one response slot. A compress slot blocks on the service
+// future — which always resolves (the service's resolve-always
+// invariant) — so no slot can leak; when the connection dies first, the
+// remaining slots still drain and count as rpc.responses_dropped.
 //
 // Cancellation: a cancel frame names an earlier request id on the same
 // connection. For compress that maps onto svc::RequestHandle::cancel()
@@ -53,9 +46,9 @@
 #include <string>
 
 #include "core/pipeline.hpp"
+#include "rpc/endpoint.hpp"
 #include "rpc/transport.hpp"
 #include "svc/service.hpp"
-#include "util/work_steal.hpp"
 
 namespace parhuff::rpc {
 
@@ -91,7 +84,7 @@ struct ServerConfig {
   }
 };
 
-class RpcServer {
+class RpcServer : private FrameHandler {
  public:
   /// Takes ownership of the listener and starts accepting immediately.
   RpcServer(std::unique_ptr<Listener> listener, ServerConfig cfg = {});
@@ -124,48 +117,42 @@ class RpcServer {
   struct ConnState;
   struct StreamState;
 
-  void accept_loop();
-  void reader_loop(std::shared_ptr<ConnState> cs);
-  void writer_loop(std::shared_ptr<ConnState> cs);
-  /// Frame-level dispatch; returns false when the connection must drop.
-  bool handle_frame(const std::shared_ptr<ConnState>& cs, const Header& h,
-                    std::vector<u8> payload);
+  std::shared_ptr<FrameConn> open_conn() override;
+  bool on_frame(FrameConn& conn, const Header& h,
+                std::vector<u8> payload) override;
+  /// Counts the streams still open when the connection died as aborted.
+  void on_drained(FrameConn& conn) override;
+
   template <typename Sym>
-  void handle_compress(const std::shared_ptr<ConnState>& cs, const Header& h,
+  void handle_compress(ConnState& cs, const Header& h,
                        std::vector<u8> payload, const PipelineConfig& pl,
                        svc::CompressionService<Sym>& svc);
   template <typename Sym>
-  void handle_decompress(const std::shared_ptr<ConnState>& cs,
-                         const Header& h, std::vector<u8> payload);
-  void handle_stream_begin(const std::shared_ptr<ConnState>& cs,
-                           const Header& h);
-  void handle_stream_frame(const std::shared_ptr<ConnState>& cs,
-                           const Header& h, std::vector<u8> payload);
+  void handle_decompress(ConnState& cs, const Header& h,
+                         std::vector<u8> payload);
+  void handle_stream_begin(ConnState& cs, const Header& h);
+  void handle_stream_frame(ConnState& cs, const Header& h,
+                           std::vector<u8> payload);
   /// v4 fused lossy verbs. Compress routes on the request's nbins — the
   /// residual alphabet decides which service instance (u8 for nbins <=
   /// 256, u16 otherwise) owns the request; decompress is self-describing
   /// and runs on the writer task like plain decompress.
-  void handle_lossy_compress(const std::shared_ptr<ConnState>& cs,
-                             const Header& h, std::vector<u8> payload);
-  void handle_lossy_decompress(const std::shared_ptr<ConnState>& cs,
-                               const Header& h, std::vector<u8> payload);
+  void handle_lossy_compress(ConnState& cs, const Header& h,
+                             std::vector<u8> payload);
+  void handle_lossy_decompress(ConnState& cs, const Header& h,
+                               std::vector<u8> payload);
 
   ServerConfig cfg_;
   const util::Clock* clock_;  // resolved from cfg_.service.clock
   std::unique_ptr<svc::CompressionService<u8>> svc8_;
   std::unique_ptr<svc::CompressionService<u16>> svc16_;
-  std::unique_ptr<Listener> listener_;
-
-  mutable std::mutex conns_mu_;
-  std::vector<std::weak_ptr<ConnState>> conns_;
-  bool stopping_ = false;  // under conns_mu_
 
   std::atomic<u64> next_stream_id_{0};
   std::atomic<u64> stream_buffer_high_water_{0};
 
   /// Declared last: destroyed first, joining the accept/reader/writer
   /// tasks while the services they use are still alive.
-  std::unique_ptr<WorkStealExecutor> io_;
+  FrameEndpoint endpoint_;
 };
 
 }  // namespace parhuff::rpc

@@ -3,7 +3,8 @@
 // mid-frame disconnects and plain garbage, all thrown at a live server over
 // raw loopback connections. The bar everywhere: the server answers with a
 // typed error or drops the connection — it never crashes, never leaks a
-// response slot, and keeps serving valid clients afterwards.
+// response slot, and keeps serving valid clients afterwards. The RouterFuzz
+// cases hold a ShardRouter in front of one shard to the same bar.
 
 #include <gtest/gtest.h>
 
@@ -19,8 +20,11 @@
 #include "obs/metrics.hpp"
 #include "rpc/client.hpp"
 #include "rpc/protocol.hpp"
+#include "router/harness.hpp"
+#include "router/router.hpp"
 #include "rpc/server.hpp"
 #include "rpc/transport_inmem.hpp"
+#include "util/fault_inject.hpp"
 #include "util/rng.hpp"
 
 namespace parhuff {
@@ -489,6 +493,191 @@ TEST_F(RpcFuzz, RandomStreamOpStormKeepsTheBalance) {
   const u64 completed = reg.counter("rpc.streams_completed") - completed0;
   const u64 aborted = reg.counter("rpc.streams_aborted") - aborted0;
   EXPECT_EQ(opened, completed + aborted);
+}
+
+// --- Router front end: hostile frames thrown at a ShardRouter over one
+// shard. The router runs the same connection engine as the server, so it
+// answers the same way, and after every case its response ledger balances
+// once quiescent: written + dropped == received + protocol error replies.
+
+class RouterFuzz : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ledger0_ = ledger();
+    rpc::ServerConfig sc;
+    sc.service.workers = 2;
+    sc.service.batch_max_requests = 1;
+    shards_ = std::make_unique<router::ShardHarness>(1, sc);
+    router::RouterConfig rc;
+    rc.start_prober = false;
+    rc.client.connect_attempts = 20;
+    router_ = std::make_unique<router::ShardRouter>(hub_.listener(),
+                                                    shards_->endpoints(), rc);
+  }
+
+  void TearDown() override {
+    router_->stop();
+    const std::array<u64, 4> now = ledger();
+    const u64 written = now[0] - ledger0_[0];
+    const u64 dropped = now[1] - ledger0_[1];
+    const u64 received = now[2] - ledger0_[2];
+    const u64 perr = now[3] - ledger0_[3];
+    EXPECT_EQ(written + dropped, received + perr);
+  }
+
+  static std::array<u64, 4> ledger() {
+    auto& reg = obs::MetricsRegistry::global();
+    return {reg.counter("router.responses_written"),
+            reg.counter("router.responses_dropped"),
+            reg.counter("router.requests_received"),
+            reg.counter("router.protocol_error_responses")};
+  }
+
+  LoopbackHub hub_;
+  std::unique_ptr<router::ShardHarness> shards_;
+  std::unique_ptr<router::ShardRouter> router_;
+  std::array<u64, 4> ledger0_{};
+};
+
+TEST_F(RouterFuzz, BadVersionIsTypedThenResyncs) {
+  auto conn = hub_.connect();
+  Frame f;
+  f.h.op = Op::kCompress;
+  f.h.request_id = 31;
+  f.payload = {1, 2, 3};
+  std::vector<u8> bytes = rpc::encode_frame(f);
+  bytes[4] = rpc::kVersion + 7;
+  conn->write_all(bytes.data(), bytes.size());
+  const Frame err = read_frame(*conn);
+  EXPECT_EQ(err.h.status, Status::kUnsupportedVersion);
+  EXPECT_EQ(err.h.request_id, 31u);
+  Frame ok;
+  ok.h.op = Op::kCompress;
+  ok.h.request_id = 32;
+  ok.payload = ramp_data(500);
+  send_frame(*conn, ok);
+  const Frame resp = read_frame(*conn);
+  EXPECT_EQ(resp.h.status, Status::kOk);
+  EXPECT_EQ(resp.h.request_id, 32u);
+}
+
+TEST_F(RouterFuzz, BadOpIsTypedThenResyncs) {
+  auto conn = hub_.connect();
+  Frame f;
+  f.h.op = Op::kCompress;
+  f.h.request_id = 55;
+  f.payload = {9, 9};
+  std::vector<u8> bytes = rpc::encode_frame(f);
+  bytes[6] = 200;  // no such op
+  conn->write_all(bytes.data(), bytes.size());
+  const Frame err = read_frame(*conn);
+  EXPECT_NE(err.h.status, Status::kOk);
+  EXPECT_EQ(err.h.request_id, 55u);
+  Frame ok;
+  ok.h.op = Op::kCompress;
+  ok.h.request_id = 56;
+  ok.payload = ramp_data(500);
+  send_frame(*conn, ok);
+  EXPECT_EQ(read_frame(*conn).h.status, Status::kOk);
+}
+
+TEST_F(RouterFuzz, OversizedDeclarationIsTypedThenDropped) {
+  auto conn = hub_.connect();
+  Header h;
+  h.op = Op::kCompress;
+  h.request_id = 66;
+  auto bytes = rpc::encode_header(h);
+  const u32 huge = rpc::kMaxPayloadBytes + 1;
+  std::memcpy(bytes.data() + 20, &huge, sizeof(huge));
+  conn->write_all(bytes.data(), bytes.size());
+  const Frame err = read_frame(*conn);
+  EXPECT_NE(err.h.status, Status::kOk);
+  EXPECT_EQ(err.h.request_id, 66u);
+  EXPECT_TRUE(connection_dropped(*conn));
+  expect_server_alive(hub_);
+}
+
+TEST_F(RouterFuzz, ResponseKindFrameGetsBadRequest) {
+  auto conn = hub_.connect();
+  Frame f;
+  f.h.kind = Kind::kResponse;
+  f.h.op = Op::kCompress;
+  f.h.request_id = 77;
+  send_frame(*conn, f);
+  const Frame err = read_frame(*conn);
+  EXPECT_EQ(err.h.status, Status::kBadRequest);
+  EXPECT_EQ(err.h.request_id, 77u);
+}
+
+TEST_F(RouterFuzz, MalformedCancelPayloadGetsBadRequest) {
+  auto conn = hub_.connect();
+  Frame f;
+  f.h.op = Op::kCancel;
+  f.h.request_id = 88;
+  f.payload = {1, 2, 3};
+  send_frame(*conn, f);
+  const Frame err = read_frame(*conn);
+  EXPECT_EQ(err.h.status, Status::kBadRequest);
+  EXPECT_EQ(err.h.request_id, 88u);
+}
+
+TEST_F(RouterFuzz, StreamErrorsEchoTheStreamId) {
+  // A client cannot tell a router from a server: a typed error on a
+  // Chunk frame names the stream it belongs to, whoever answers.
+  auto conn = hub_.connect();
+  constexpr u64 kUnknownStream = 0xC0FFEE;
+  Frame chunk;
+  chunk.h.op = Op::kCompressStreamChunk;
+  chunk.h.request_id = 5;
+  chunk.h.stream_id = kUnknownStream;
+  chunk.payload = ramp_data(300);
+  send_frame(*conn, chunk);
+  const Frame err = read_frame(*conn);
+  EXPECT_EQ(err.h.status, Status::kBadRequest);
+  EXPECT_EQ(err.h.request_id, 5u);
+  EXPECT_EQ(err.h.stream_id, kUnknownStream);
+}
+
+TEST_F(RouterFuzz, SeededGarbageStormNeverKillsTheRouter) {
+  Xoshiro256 rng(4243);
+  for (int round = 0; round < 48; ++round) {
+    auto conn = hub_.connect();
+    const std::size_t len = 1 + rng.below(200);
+    std::vector<u8> junk(len);
+    for (auto& b : junk) b = static_cast<u8>(rng.below(256));
+    try {
+      conn->write_all(junk.data(), junk.size());
+      conn->shutdown();
+    } catch (const TransportError&) {
+      // The router may drop the connection while we're mid-write.
+    }
+  }
+  expect_server_alive(hub_);
+}
+
+TEST_F(RouterFuzz, ArmedReadAndWriteSitesEveryFutureResolves) {
+  util::FaultInjector& inj = util::FaultInjector::global();
+  util::ScopedFaults scope(inj);
+  scope.arm("router.read", 0.1).arm("router.write", 0.1);
+  rpc::ClientConfig cc;
+  cc.connect_attempts = 20;
+  RpcClient cli([&] { return hub_.connect(); }, cc);
+  const auto data = ramp_data(3000);
+  constexpr int kRequests = 64;
+  int resolved = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    try {
+      (void)cli.compress(std::span<const u8>(data)).result.get();
+    } catch (const std::exception&) {
+      // A typed error or a dead connection: resolved all the same.
+    }
+    ++resolved;
+  }
+  EXPECT_EQ(resolved, kRequests);
+  EXPECT_GT(inj.stats("router.read").evaluations, 0u);
+  EXPECT_GT(inj.stats("router.write").evaluations, 0u);
+  EXPECT_GT(inj.stats("router.read").fired + inj.stats("router.write").fired,
+            0u);
 }
 
 }  // namespace
